@@ -60,11 +60,17 @@ class Region:
     #: ("delete", row_key, "", "", b"", timestamp) tombstones.
     wal: list[tuple[str, str, str, str, bytes, float]] = field(
         default_factory=list)
-    #: Per-entry encodings of :attr:`wal`, filled lazily by
-    #: :meth:`encode_wal` — the WAL is rewritten to HDFS on *every*
-    #: put, so re-encoding the whole backlog each time is quadratic.
-    #: Invariant: a prefix of ``wal``, cleared whenever ``wal`` is.
+    #: Per-entry encodings of :attr:`wal`, each after its ``", "``
+    #: separator, filled lazily by :meth:`encode_wal` — the WAL is
+    #: rewritten to HDFS on *every* put, so re-encoding the whole
+    #: backlog each time is quadratic.  Invariant: a prefix of ``wal``,
+    #: cleared whenever ``wal`` is.
     _wal_cache: list[bytes] = field(default_factory=list, repr=False)
+    #: Row key → a view of that row's encoding inside the store file
+    #: the last :meth:`encode_rows` produced.  Every row edit below
+    #: drops the row's view, so a flush re-encodes only edited rows.
+    _row_views: dict[str, memoryview] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def contains(self, row_key: str) -> bool:
         """True when *row_key* falls in this region's range."""
@@ -87,6 +93,63 @@ class Region:
         """Row keys in order (HBase rows are key-sorted)."""
         return sorted(self.rows)
 
+    # -- row edits: each keeps data_bytes and the row views in step ---------
+
+    def set_cell(self, row_key: str, family: str, qualifier: str,
+                 cell: Cell) -> None:
+        """Write one cell, replacing its previous version."""
+        row = self.rows.setdefault(row_key, {})
+        previous = row.get((family, qualifier))
+        if previous is not None:
+            self.data_bytes -= len(previous.value)
+        row[(family, qualifier)] = cell
+        self.data_bytes += len(cell.value)
+        self._row_views.pop(row_key, None)
+
+    def drop_row(self, row_key: str) -> None:
+        """Remove one row (no-op when absent)."""
+        row = self.rows.pop(row_key, None)
+        if row is not None:
+            self.data_bytes -= sum(len(c.value) for c in row.values())
+            self._row_views.pop(row_key, None)
+
+    def drop_cells(self, row_key: str,
+                   cells: list[tuple[str, str]]) -> None:
+        """Remove cells of one row (absent ones are skipped); a row
+        left empty is removed outright."""
+        row = self.rows.get(row_key)
+        if row is None:
+            return
+        for key in cells:
+            cell = row.pop(key, None)
+            if cell is not None:
+                self.data_bytes -= len(cell.value)
+        if not row:
+            del self.rows[row_key]
+        self._row_views.pop(row_key, None)
+
+    def hand_rows(self, sibling: Region, row_keys: list[str]) -> None:
+        """Move rows to a split sibling with their bytes and views (a
+        row encodes the same in either region's store file)."""
+        for row_key in row_keys:
+            row = self.rows.pop(row_key)
+            sibling.rows[row_key] = row
+            moved = sum(len(c.value) for c in row.values())
+            self.data_bytes -= moved
+            sibling.data_bytes += moved
+            view = self._row_views.pop(row_key, None)
+            if view is not None:
+                sibling._row_views[row_key] = view
+
+    def restore(self, store_file: bytes, wal_file: bytes) -> int:
+        """Rebuild the rows from a store file plus a replay of the WAL
+        written after it; returns the number of WAL entries replayed."""
+        self.rows = self.decode_rows(store_file)
+        self._row_views.clear()
+        self.recompute_bytes()
+        self.memstore_bytes = 0
+        return self.replay_wal(wal_file)
+
     def hdfs_path(self) -> str:
         """Store-file path of this region in the simulated HDFS."""
         return f"/hbase/{self.table}/region-{self.region_id}"
@@ -98,21 +161,44 @@ class Region:
     # -- durable encodings ---------------------------------------------------
 
     def encode_rows(self) -> bytes:
-        """Serialize the full row set for the HDFS store file."""
+        """Serialize the full row set for the HDFS store file.
+
+        The output is byte-identical to ``json.dumps(payload,
+        sort_keys=True)`` over every row, but only rows edited since
+        the previous call are encoded: the rest are copied from that
+        call's output through their views, and all views then point
+        into the new file.  The file is built by one ``b"".join``.
+        """
         import base64
         import json
 
-        payload = {
-            row_key: {
-                f"{family}\x00{qualifier}": [
-                    base64.b64encode(cell.value).decode("ascii"),
-                    cell.timestamp,
-                ]
-                for (family, qualifier), cell in cells.items()
-            }
-            for row_key, cells in self.rows.items()
-        }
-        return json.dumps(payload, sort_keys=True).encode("utf-8")
+        parts: list[bytes | memoryview] = [b"{"]
+        spans: list[tuple[str, int, int]] = []
+        offset = 1
+        for row_key in sorted(self.rows):
+            if spans:
+                parts.append(b", ")
+                offset += 2
+            part = self._row_views.get(row_key)
+            if part is None:
+                cells = {
+                    f"{family}\x00{qualifier}": [
+                        base64.b64encode(cell.value).decode("ascii"),
+                        cell.timestamp,
+                    ]
+                    for (family, qualifier), cell in self.rows[row_key].items()
+                }
+                part = (json.dumps(row_key) + ": "
+                        + json.dumps(cells, sort_keys=True)).encode("ascii")
+            parts.append(part)
+            spans.append((row_key, offset, offset + len(part)))
+            offset += len(part)
+        parts.append(b"}")
+        data = b"".join(parts)
+        whole = memoryview(data)
+        self._row_views = {row_key: whole[start:end]
+                           for row_key, start, end in spans}
+        return data
 
     @staticmethod
     def decode_rows(data: bytes) -> dict[str, dict[tuple[str, str], Cell]]:
@@ -138,21 +224,23 @@ class Region:
     def encode_wal(self) -> bytes:
         """Serialize the pending WAL entries.
 
-        Only entries appended since the previous call are encoded; the
-        output is byte-identical to ``json.dumps`` over the full list
-        (same separators), so recovery, WAL file sizes, and the clock
-        charges they drive are unchanged.
+        Only entries appended since the previous call are encoded, and
+        the log is built by one ``b"".join``; the output is
+        byte-identical to ``json.dumps`` over the full list (same
+        separators), so recovery, WAL file sizes, and the clock charges
+        they drive are unchanged.
         """
         import base64
         import json
 
         for op, row_key, family, qualifier, value, timestamp in \
                 self.wal[len(self._wal_cache):]:
-            self._wal_cache.append(json.dumps(
+            separator = ", " if self._wal_cache else ""
+            self._wal_cache.append((separator + json.dumps(
                 [op, row_key, family, qualifier,
                  base64.b64encode(value).decode("ascii"), timestamp]
-            ).encode("utf-8"))
-        return b"[" + b", ".join(self._wal_cache) + b"]"
+            )).encode("utf-8"))
+        return b"".join([b"[", *self._wal_cache, b"]"])
 
     def replay_wal(self, data: bytes) -> int:
         """Apply WAL entries on top of the recovered store rows."""
@@ -164,19 +252,13 @@ class Region:
         entries = json.loads(data.decode("utf-8"))
         for op, row_key, family, qualifier, value_b64, timestamp in entries:
             if op == "delete":
-                self.rows.pop(row_key, None)
-                continue
-            if op == "delcell":
-                row = self.rows.get(row_key)
-                if row is not None:
-                    row.pop((family, qualifier), None)
-                    if not row:
-                        del self.rows[row_key]
-                continue
-            row = self.rows.setdefault(row_key, {})
-            row[(family, qualifier)] = Cell(
-                value=base64.b64decode(value_b64), timestamp=timestamp,
-            )
+                self.drop_row(row_key)
+            elif op == "delcell":
+                self.drop_cells(row_key, [(family, qualifier)])
+            else:
+                self.set_cell(row_key, family, qualifier, Cell(
+                    value=base64.b64decode(value_b64), timestamp=timestamp,
+                ))
         return len(entries)
 
 
@@ -306,13 +388,9 @@ class SimHBase:
             self.hdfs.write(region.wal_path(), region.encode_wal())
             self.clock.advance(self.network.transfer_seconds(len(value)),
                                component="pool")
-            row = region.rows.setdefault(row_key, {})
-            previous = row.get((family, qualifier))
-            if previous is not None:
-                region.data_bytes -= len(previous.value)
-            row[(family, qualifier)] = Cell(value=value, timestamp=timestamp)
+            region.set_cell(row_key, family, qualifier,
+                            Cell(value=value, timestamp=timestamp))
             region.memstore_bytes += len(value)
-            region.data_bytes += len(value)
             self.stats["puts"] += 1
             if region.memstore_bytes >= self.memstore_flush_bytes:
                 self._flush(region)
@@ -408,10 +486,7 @@ class SimHBase:
             self._tombstone(region, [("delete", key, "", "", b"", now)
                                      for key in keys])
             for key in keys:
-                dropped = region.rows.pop(key, None)
-                if dropped is not None:
-                    region.data_bytes -= sum(
-                        len(c.value) for c in dropped.values())
+                region.drop_row(key)
             self._maybe_flush(region)
 
     def delete_cell(self, table: str, row_key: str, family: str,
@@ -439,11 +514,7 @@ class SimHBase:
         self._tombstone(region, [("delcell", row_key, family, qualifier,
                                   b"", now)
                                  for family, qualifier in present])
-        for family, qualifier in present:
-            cell = row.pop((family, qualifier))
-            region.data_bytes -= len(cell.value)
-        if not row:
-            del region.rows[row_key]
+        region.drop_cells(row_key, present)
         self._maybe_flush(region)
         return len(present)
 
@@ -520,12 +591,7 @@ class SimHBase:
             start_key=midpoint, end_key=region.end_key,
         )
         region.end_key = midpoint
-        for key in keys[len(keys) // 2:]:
-            moved = region.rows.pop(key)
-            sibling.rows[key] = moved
-            moved_bytes = sum(len(c.value) for c in moved.values())
-            region.data_bytes -= moved_bytes
-            sibling.data_bytes += moved_bytes
+        region.hand_rows(sibling, keys[len(keys) // 2:])
         self._tables[region.table].append(sibling)
         self._assign(sibling)
         self._flush(region)
@@ -558,18 +624,15 @@ class SimHBase:
         for region in orphans:
             # The in-memory state died with the server: rebuild from
             # the durable store file + WAL.
-            region.rows = Region.decode_rows(
-                self.hdfs.read(region.hdfs_path())
-                if self.hdfs.exists(region.hdfs_path()) else b""
+            replayed += region.restore(
+                self._read_if_exists(region.hdfs_path()),
+                self._read_if_exists(region.wal_path()),
             )
-            replayed += region.replay_wal(
-                self.hdfs.read(region.wal_path())
-                if self.hdfs.exists(region.wal_path()) else b""
-            )
-            region.memstore_bytes = 0
-            region.recompute_bytes()
             self._assign(region)
         return replayed
+
+    def _read_if_exists(self, path: str) -> bytes:
+        return self.hdfs.read(path) if self.hdfs.exists(path) else b""
 
     def balance(self) -> int:
         """Move regions from overloaded to underloaded servers.

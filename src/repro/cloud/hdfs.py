@@ -36,13 +36,15 @@ class DataNode:
     """One storage node holding block payloads."""
 
     node_id: str
-    blocks: dict[int, bytes] = field(default_factory=dict)
+    #: Block payloads: read-only views into the immutable ``bytes`` of
+    #: the write that produced them (see :meth:`SimHdfs.write`).
+    blocks: dict[int, memoryview] = field(default_factory=dict)
     alive: bool = True
     #: Incremental byte counter — ``used_bytes`` feeds the placement
     #: sort on every block write and must not rescan the node.
     _used: int = field(default=0, repr=False)
 
-    def store_block(self, block_id: int, data: bytes) -> None:
+    def store_block(self, block_id: int, data: memoryview) -> None:
         """Add or overwrite one block payload."""
         previous = self.blocks.get(block_id)
         if previous is not None:
@@ -108,22 +110,32 @@ class SimHdfs:
             raise StorageError("no live datanodes available")
         count = min(count, len(live))
         start = next(self._placement)
-        # Round-robin start point, then least-loaded preference.
+        # Least-loaded first, ties broken by a rotation over the nodes'
+        # positions.  Not ``hash(node_id)``: str hashes are salted per
+        # process, so replica sets would vary between same-seed runs.
         ordered = sorted(
-            live,
-            key=lambda n: (n.used_bytes,
-                           (hash(n.node_id) + start) % len(live)),
+            enumerate(live),
+            key=lambda pair: (pair[1].used_bytes,
+                              (pair[0] + start) % len(live)),
         )
-        return ordered[:count]
+        return [node for _, node in ordered[:count]]
 
     # -- file operations ----------------------------------------------------------
 
     def write(self, path: str, data: bytes) -> None:
-        """Write (or overwrite) a file, replicating every block."""
+        """Write (or overwrite) a file, replicating every block.
+
+        Blocks are zero-copy views into one immutable ``bytes``, shared
+        by every replica; any other buffer (a ``bytearray``) is copied
+        once first, so mutating it afterwards cannot reach the file.
+        """
         with self.clock.trace("hdfs.write", "hdfs"):
+            if not isinstance(data, bytes):
+                data = bytes(data)
+            whole = memoryview(data)
             blocks: list[BlockInfo] = []
             for offset in range(0, max(len(data), 1), self.block_size):
-                chunk = data[offset:offset + self.block_size]
+                chunk = whole[offset:offset + self.block_size]
                 block_id = next(self._block_ids)
                 targets = self._pick_targets(self.replication)
                 for node in targets:
@@ -161,7 +173,7 @@ class SimHdfs:
             self.stats["bytes_read"] += len(out)
             return bytes(out)
 
-    def _read_block(self, info: BlockInfo) -> bytes:
+    def _read_block(self, info: BlockInfo) -> memoryview:
         for node_id in info.replicas:
             node = self.nodes.get(node_id)
             if node is not None and node.alive and info.block_id in node.blocks:

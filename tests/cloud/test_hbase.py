@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
-import pytest
+import base64
+import json
 
-from repro.cloud.hbase import SimHBase
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.cloud.hbase import _END_KEY, Cell, Region, SimHBase
 from repro.errors import RegionError, StorageError
 
 
@@ -390,3 +395,183 @@ class TestByteSplit:
         victim = cluster.server_of(cluster.regions_of("t")[0]).server_id
         cluster.kill_server(victim)
         assert cluster.total_bytes("t") == 30
+
+
+class TestRowEdits:
+    """Region edit methods keep data_bytes and the flush views in step."""
+
+    def _region(self):
+        region = Region(region_id=7, table="t", start_key="",
+                        end_key=_END_KEY)
+        for key in ("r1", "r2", "r3"):
+            region.set_cell(key, "cf", "q", Cell(key.encode() * 3, 1.0))
+        return region
+
+    def test_flush_reuses_only_untouched_rows(self):
+        region = self._region()
+        first = region.encode_rows()
+        region.set_cell("r2", "cf", "q", Cell(b"new", 2.0))
+        assert set(region._row_views) == {"r1", "r3"}
+        assert all(view.obj is first
+                   for view in region._row_views.values())
+        second = region.encode_rows()
+        assert second == _reference_store_file(region.rows)
+        assert all(view.obj is second
+                   for view in region._row_views.values())
+
+    def test_every_edit_invalidates_its_row(self):
+        region = self._region()
+        region.set_cell("r3", "cf", "other", Cell(b"x", 1.0))
+        region.encode_rows()
+        region.drop_row("r1")
+        region.drop_cells("r2", [("cf", "q")])   # empties the row
+        region.drop_cells("r3", [("cf", "q")])   # leaves one cell
+        assert set(region.rows) == {"r3"}
+        assert region._row_views == {}
+        assert region.data_bytes == region.recompute_bytes() == 1
+        assert region.encode_rows() == _reference_store_file(region.rows)
+
+    def test_hand_rows_moves_bytes_and_views(self):
+        region = self._region()
+        region.encode_rows()
+        sibling = Region(region_id=8, table="t", start_key="r2",
+                         end_key=_END_KEY)
+        region.hand_rows(sibling, ["r2", "r3"])
+        assert (region.data_bytes, sibling.data_bytes) == (6, 12)
+        assert set(sibling._row_views) == {"r2", "r3"}
+        assert sibling.encode_rows() == _reference_store_file(sibling.rows)
+        assert region.encode_rows() == _reference_store_file(region.rows)
+
+    def test_restore_rebuilds_rows_and_bytes(self):
+        region = self._region()
+        store = region.encode_rows()
+        region.wal = [("put", "r4", "cf", "q", b"four", 3.0),
+                      ("delcell", "r1", "cf", "q", b"", 4.0)]
+        recovered = Region(region_id=7, table="t", start_key="",
+                           end_key=_END_KEY, memstore_bytes=99)
+        assert recovered.restore(store, region.encode_wal()) == 2
+        assert set(recovered.rows) == {"r2", "r3", "r4"}
+        assert recovered.data_bytes == recovered.recompute_bytes() == 16
+        assert recovered.memstore_bytes == 0
+
+
+# -- differential storage engine ---------------------------------------------
+
+def _reference_store_file(rows) -> bytes:
+    """Store file as one ``json.dumps`` over the whole region."""
+    payload = {
+        row_key: {
+            f"{family}\x00{qualifier}": [
+                base64.b64encode(cell.value).decode("ascii"), cell.timestamp,
+            ]
+            for (family, qualifier), cell in cells.items()
+        }
+        for row_key, cells in rows.items()
+    }
+    return json.dumps(payload, sort_keys=True).encode("utf-8")
+
+
+def _reference_wal(entries) -> bytes:
+    """WAL as one ``json.dumps`` over every pending entry."""
+    return json.dumps([
+        [op, row_key, family, qualifier,
+         base64.b64encode(value).decode("ascii"), timestamp]
+        for op, row_key, family, qualifier, value, timestamp in entries
+    ]).encode("utf-8")
+
+
+_ROW_KEYS = st.sampled_from(["r0", "r1", "r2", "r3", "clé ☃", "中文键"])
+_COLUMNS = st.tuples(st.sampled_from(["cf", "hist"]),
+                     st.sampled_from(["a", "données"]))
+#: Operation kinds, repeated to weight the draw: rows should gain
+#: several cells and lose some between flushes more often than whole
+#: rows vanish or servers die.
+_KINDS = ["put"] * 3 + ["delete_cells"] * 2 + ["delete_rows", "flush", "kill"]
+
+
+@st.composite
+def _operations(draw):
+    kind = draw(st.sampled_from(_KINDS))
+    if kind == "put":
+        return (kind, draw(_ROW_KEYS), draw(_COLUMNS),
+                draw(st.binary(min_size=1, max_size=32)))
+    if kind == "delete_cells":
+        return (kind, draw(_ROW_KEYS),
+                draw(st.lists(_COLUMNS, min_size=1, max_size=2)))
+    if kind == "delete_rows":
+        return (kind, draw(st.lists(_ROW_KEYS, min_size=1, max_size=3)))
+    if kind == "kill":
+        return (kind, draw(st.integers(min_value=0, max_value=3)))
+    return (kind,)
+
+
+def _check_engine(cluster: SimHBase, model: dict) -> None:
+    """Store files and WALs equal the reference encoders, byte counters
+    are exact, and store file plus WAL recover every live row."""
+    hdfs = cluster.hdfs
+    live = {}
+    with cluster.clock.capture():         # reads here must not move time
+        for region in cluster.regions_of("t"):
+            tracked = region.data_bytes
+            assert region.recompute_bytes() == tracked
+            wal = (hdfs.read(region.wal_path())
+                   if hdfs.exists(region.wal_path()) else b"")
+            assert wal == (_reference_wal(region.wal) if region.wal
+                           else b"")
+            store = hdfs.read(region.hdfs_path())
+            if store:                     # b"" until the first flush
+                stored = Region.decode_rows(store)
+                assert store == _reference_store_file(stored)
+                if not region.wal:
+                    assert stored == region.rows
+            recovered = Region(region_id=0, table="t",
+                               start_key=region.start_key,
+                               end_key=region.end_key)
+            recovered.restore(store, wal)
+            assert recovered.rows == region.rows
+            for row_key, cells in region.rows.items():
+                assert region.contains(row_key)
+                live[row_key] = {cq: cell.value
+                                 for cq, cell in cells.items()}
+    assert live == model
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_operations(), min_size=10, max_size=60))
+def test_storage_engine_matches_reference_encoders(operations):
+    """Random puts and deletes, with flushes, splits and region-server
+    failures interleaved, against whole-region reference encoders."""
+    cluster = SimHBase(region_servers=4, split_threshold_rows=4,
+                       split_threshold_bytes=120,
+                       memstore_flush_bytes=40)
+    cluster.create_table("t")
+    model: dict[str, dict[tuple[str, str], bytes]] = {}
+    for operation in operations:
+        kind = operation[0]
+        if kind == "put":
+            _, row_key, (family, qualifier), value = operation
+            cluster.put("t", row_key, family, qualifier, value)
+            model.setdefault(row_key, {})[(family, qualifier)] = value
+        elif kind == "delete_rows":
+            cluster.delete_rows("t", operation[1])
+            for row_key in operation[1]:
+                model.pop(row_key, None)
+        elif kind == "delete_cells":
+            _, row_key, columns = operation
+            existed = cluster.delete_cells("t", row_key, columns)
+            row = model.get(row_key, {})
+            assert existed == len([c for c in columns if c in row])
+            for column in columns:
+                row.pop(column, None)
+            if not row:
+                model.pop(row_key, None)
+        elif kind == "flush":
+            cluster.flush_table("t")
+        else:
+            alive = sorted(sid for sid, server in cluster.servers.items()
+                           if server.alive)
+            if len(alive) < 2:
+                continue
+            cluster.kill_server(alive[operation[1] % len(alive)])
+        _check_engine(cluster, model)
