@@ -255,7 +255,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
             audit_every=args.audit_every,
             delta_routing=delta,
             verify_workers=args.verify_workers,
-            verify_batch=True if args.verify_workers else None,
             portals=args.portals,
             placement=args.placement,
             chunk_replicas=args.replication,
@@ -291,7 +290,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         tfc_workers=args.tfc_workers,
         audit_every=args.audit_every,
         verify_workers=args.verify_workers,
-        verify_batch=True if args.verify_workers else None,
         tracer=tracer,
         collect_metrics=args.metrics,
         gc_interval=args.gc_interval,
@@ -486,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
                                "are identical for any worker count)")
     loadtest.add_argument("--verify-workers", type=int, default=None,
                           help="threads for batched RSA verification "
-                               "inside portals/TFC/audits")
+                               "inside portals/TFC/audits (batching is on "
+                               "when above 1)")
     loadtest.add_argument("--json", action="store_true",
                           help="emit the full report as JSON")
     loadtest.add_argument("--trace", metavar="OUT.json", default=None,

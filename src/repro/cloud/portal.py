@@ -67,8 +67,7 @@ class PortalServer:
                  network: NetworkModel = WAN,
                  backend: CryptoBackend | None = None,
                  verify_cache: VerificationCache | None = None,
-                 verify_workers: int | None = None,
-                 verify_batch: bool | None = None) -> None:
+                 verify_workers: int | None = None) -> None:
         self.portal_id = portal_id
         self.pool = pool
         self.directory = directory
@@ -81,10 +80,9 @@ class PortalServer:
         #: it (and the TFC's) so a document verified at any front door
         #: costs only its new CERs at the next.  ``None`` → cold.
         self.verify_cache = verify_cache
-        #: Batched RSA verification knobs forwarded to
-        #: :func:`verify_document` (see its *workers*/*batch* docs).
+        #: Batched RSA verification threads forwarded to
+        #: :func:`verify_document` (see its *workers* docs).
         self.verify_workers = verify_workers
-        self.verify_batch = verify_batch
         self._challenges: dict[str, bytes] = {}
         self._sessions: dict[str, Session] = {}
         self.stats = {"logins": 0, "searches": 0, "retrievals": 0,
@@ -224,7 +222,6 @@ class PortalServer:
                                            self.tfc.keypair.private_key),
                         cache=self.verify_cache,
                         workers=self.verify_workers,
-                        batch=self.verify_batch,
                     )
             except Exception as exc:
                 self.stats["rejected"] += 1

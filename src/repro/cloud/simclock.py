@@ -21,10 +21,9 @@ same component code without rewriting it:
 
 from __future__ import annotations
 
-import heapq
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, ContextManager, Iterator
+from typing import TYPE_CHECKING, ContextManager, Iterator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..obs.tracer import Tracer
@@ -76,15 +75,12 @@ class CostCapture:
 class SimClock:
     """A monotonically advancing simulated clock.
 
-    Supports deferred callbacks (used by HDFS re-replication and
-    notification delivery): ``schedule(delay, fn)`` runs ``fn`` when the
-    clock passes ``now + delay``.
+    It only keeps time: event scheduling belongs to the caller (the
+    fleet's discrete-event loop advances it with :meth:`advance_to`).
     """
 
     def __init__(self, start: float = 0.0) -> None:
         self._now = float(start)
-        self._events: list[tuple[float, int, Callable[[], None]]] = []
-        self._sequence = 0
         self._capture: CostCapture | None = None
         #: Optional observability hook (:class:`repro.obs.Tracer`).  When
         #: set, every cost charge is mirrored to the tracer; ``None``
@@ -96,7 +92,7 @@ class SimClock:
         return self._now
 
     def advance(self, seconds: float, component: str | None = None) -> float:
-        """Move time forward, firing any due callbacks in order.
+        """Move time forward.
 
         *component* names the service that incurred the cost (portal,
         pool, notify, …).  It has no effect on normal advancing, but
@@ -114,12 +110,7 @@ class SimClock:
             # Untagged advances outside a capture are scheduler idle time
             # (``advance_to``), not work — only tagged cost is traced.
             self.tracer.on_charge(component, seconds)
-        target = self._now + seconds
-        while self._events and self._events[0][0] <= target:
-            when, _, callback = heapq.heappop(self._events)
-            self._now = when
-            callback()
-        self._now = target
+        self._now += seconds
         return self._now
 
     def advance_to(self, target: float) -> float:
@@ -160,9 +151,8 @@ class SimClock:
         Used by the fleet scheduler: component code still calls
         ``clock.advance(cost, component=...)``, but while the block is
         active the clock stands still and every charge lands in the
-        returned :class:`CostCapture`.  Callbacks scheduled during the
-        block stay scheduled relative to the frozen ``now``.  Nested
-        captures each see only their own charges.
+        returned :class:`CostCapture`.  Nested captures each see only
+        their own charges.
         """
         previous = self._capture
         bucket = CostCapture()
@@ -190,17 +180,3 @@ class SimClock:
             return
         for _, seconds in items:
             self.advance(seconds)
-
-    def schedule(self, delay: float, callback: Callable[[], None]) -> None:
-        """Run *callback* once the clock advances past ``now + delay``."""
-        if delay < 0:
-            raise ValueError("delay must be non-negative")
-        self._sequence += 1
-        heapq.heappush(
-            self._events, (self._now + delay, self._sequence, callback)
-        )
-
-    @property
-    def pending_events(self) -> int:
-        """Number of scheduled callbacks not yet fired."""
-        return len(self._events)

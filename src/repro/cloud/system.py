@@ -11,6 +11,7 @@ store → notify next participants.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from ..core.aea import ActivityExecutionAgent, Responder
 from ..core.tfc import TfcServer
@@ -43,7 +44,8 @@ from .portal import PortalServer, Session
 from .sharding import DEFAULT_VNODES
 from .simclock import SimClock
 
-__all__ = ["CloudSystem", "CloudClient", "run_process_in_cloud"]
+__all__ = ["CloudSystem", "CloudClient", "drive_instance",
+           "run_process_in_cloud"]
 
 
 class CloudSystem:
@@ -63,7 +65,6 @@ class CloudSystem:
                  clock: SimClock | None = None,
                  delta_routing: bool = False,
                  verify_workers: int | None = None,
-                 verify_batch: bool | None = None,
                  placement: str = "round-robin",
                  placement_vnodes: int | None = None,
                  chunk_replicas: int | None = None,
@@ -96,13 +97,10 @@ class CloudSystem:
         #: newly appended CERs anywhere else in the cloud.  ``None``
         #: (default) keeps every verification cold.
         self.verify_cache = verify_cache
-        #: Batched RSA verification knobs shared by this cloud's TFC and
-        #: portals: *verify_workers* > 1 threads independent RSA checks,
-        #: *verify_batch* forces the single-dispatch ``verify_batch()``
-        #: path even single-threaded.  Accept/reject behaviour is
-        #: unchanged either way.
+        #: Batched RSA verification shared by this cloud's TFC and
+        #: portals: *verify_workers* > 1 threads independent RSA checks.
+        #: Accept/reject behaviour is unchanged either way.
         self.verify_workers = verify_workers
-        self.verify_batch = verify_batch
         #: LRU byte budget for every client's peer chunk cache (delta
         #: mode).  ``None`` (default) keeps the historic unbounded
         #: cache; 0 is a degenerate-but-legal budget (the cache still
@@ -130,7 +128,6 @@ class CloudSystem:
             clock=self.clock.now,
             verify_cache=verify_cache,
             verify_workers=verify_workers,
-            verify_batch=verify_batch,
         )
         self.portals = [
             PortalServer(
@@ -144,7 +141,6 @@ class CloudSystem:
                 backend=self.backend,
                 verify_cache=verify_cache,
                 verify_workers=verify_workers,
-                verify_batch=verify_batch,
             )
             for i in range(portals)
         ]
@@ -455,34 +451,20 @@ class CloudClient:
         return portal.monitor(session, process_id)
 
 
-def run_process_in_cloud(
-    system: CloudSystem,
-    definition: WorkflowDefinition,
-    initial_document: Dra4wfmsDocument,
-    designer: KeyPair,
-    keypairs: dict[str, KeyPair],
-    responders: dict[str, Responder],
-    max_rounds: int = 10_000,
-) -> Dra4wfmsDocument:
-    """Drive one process instance through the cloud to completion.
+def drive_instance(clients: Sequence[CloudClient], process_id: str,
+                   responders: Mapping[str, Responder],
+                   max_rounds: int = 10_000) -> int:
+    """Poll *clients* until *process_id* has no work left; return hops.
 
-    Each participant polls their TO-DO list and executes pending
-    activities; AND-joins that are not yet ready are retried after the
-    sibling branch lands.  Returns the final pooled document.
+    Every round, each client in turn executes the pending activities of
+    the instance on its TO-DO list.  AND-joins that are not yet ready
+    are retried in a later round, after the sibling branch lands.
     """
-    designer_client = system.client(designer)
-    process_id = designer_client.upload_initial(initial_document)
-
-    clients = {
-        identity: system.client(keypair)
-        for identity, keypair in keypairs.items()
-        if identity != designer.identity
-    }
-
+    hops = 0
     for _ in range(max_rounds):
         progressed = False
         pending = False
-        for client in clients.values():
+        for client in clients:
             for entry in client.todo():
                 if entry.process_id != process_id:
                     continue
@@ -494,14 +476,41 @@ def run_process_in_cloud(
                     )
                 try:
                     client.execute(process_id, entry.activity_id, responder)
-                    progressed = True
                 except JoinNotReady:
                     continue
+                progressed = True
+                hops += 1
         if not pending:
-            return system.pool.latest(process_id)
+            return hops
         if not progressed:
             raise CloudError(
                 f"process {process_id!r} deadlocked: pending work exists "
                 f"but nothing can execute"
             )
     raise CloudError(f"process {process_id!r} exceeded {max_rounds} rounds")
+
+
+def run_process_in_cloud(
+    system: CloudSystem,
+    definition: WorkflowDefinition,
+    initial_document: Dra4wfmsDocument,
+    designer: KeyPair,
+    keypairs: dict[str, KeyPair],
+    responders: dict[str, Responder],
+    max_rounds: int = 10_000,
+) -> Dra4wfmsDocument:
+    """Drive one process instance through the cloud to completion.
+
+    The designer uploads the initial document, then every other
+    participant logs in and polls (see :func:`drive_instance`).
+    Returns the final pooled document.
+    """
+    designer_client = system.client(designer)
+    process_id = designer_client.upload_initial(initial_document)
+    clients = [
+        system.client(keypair)
+        for identity, keypair in keypairs.items()
+        if identity != designer.identity
+    ]
+    drive_instance(clients, process_id, responders, max_rounds=max_rounds)
+    return system.pool.latest(process_id)

@@ -3,42 +3,30 @@
 The document-routing architecture is embarrassingly parallel across
 AND-split branches: each branch owns an independent copy of the
 document, and the branches only meet again at the join, where the CER
-sets are unioned.  :class:`ThreadedRuntime` exploits that: every round
-it executes all currently-ready deliveries concurrently in a thread
-pool (the RSA work underneath releases the GIL in the OpenSSL-backed
-fast backend), then routes, buffers AND-joins, and repeats.
+sets are unioned.  :class:`ThreadedRuntime` exploits that: it advances
+a :class:`~repro.core.runtime.ProcessExecution` a wave at a time —
+receive every queued delivery, execute all ready activities
+concurrently in a thread pool (the RSA work underneath releases the GIL
+in the OpenSSL-backed fast backend), then finish them in wave order.
 
-Semantics are identical to :class:`~repro.core.runtime.InMemoryRuntime`
-— same traces, same final documents modulo nondeterministic branch
-interleaving in the CER order of merged sections — and the test suite
-checks both runtimes produce verifiable, equivalent results.
-
-In advanced mode the TFC finalisation stays sequential (it is one
-logical server with an ordered record log); only the AEA work fans out.
+Receiving, executing and finishing are the execution's own methods, so
+the semantics are those of :class:`~repro.core.runtime.InMemoryRuntime`
+and only the hop order differs (waves instead of one FIFO queue).  In
+advanced mode the TFC finalisation stays sequential (it is one logical
+server with an ordered record log); only the AEA work fans out.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import Mapping
 
 from ..document.document import Dra4wfmsDocument
-from ..errors import RuntimeFault
-from ..model.controlflow import JoinKind
 from ..model.definition import WorkflowDefinition
 from .aea import Responder
-from .runtime import ExecutionTrace, InMemoryRuntime, StepTrace, _Delivery
+from .runtime import ExecutionTrace, InMemoryRuntime
 
 __all__ = ["ThreadedRuntime"]
-
-
-@dataclass
-class _Ready:
-    activity_id: str
-    document: Dra4wfmsDocument
-    merge_with: list[Dra4wfmsDocument]
-    wire_bytes: int
 
 
 class ThreadedRuntime(InMemoryRuntime):
@@ -61,135 +49,12 @@ class ThreadedRuntime(InMemoryRuntime):
             responders: Mapping[str, Responder | Mapping[str, str]],
             mode: str = "basic",
             max_steps: int = 10_000) -> ExecutionTrace:
-        """Execute the whole process, fanning out ready branches."""
-        if mode == "advanced" and self.tfc is None:
-            raise RuntimeFault("advanced mode requires a TFC server")
-
-        trace = ExecutionTrace(
-            process_id=initial_document.process_id,
-            mode=mode,
-            initial_size=initial_document.size_bytes,
-            routing="delta" if self.delta_routing else "full",
-        )
-        # Packaged like every later hop, so delta mode primes the start
-        # participant's chunk cache (see ProcessExecution.__init__).
-        pending: list[_Delivery] = [
-            self.package(definition, definition.start_activity,
-                         initial_document)
-        ]
-        join_buffers: dict[str, list[tuple[Dra4wfmsDocument, int]]] = {}
-        step = 0
-
+        """Execute the whole process, fanning out each wave of branches."""
+        execution = self.start(initial_document, definition, responders,
+                               mode=mode, max_steps=max_steps)
         with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            while pending:
-                # Partition this wave into executable work, buffering
-                # AND-join arrivals until all branches are present.
-                # Deltas are decoded here, sequentially, against the
-                # receiving agent's chunk cache — the expensive crypto
-                # below still fans out.
-                batch: list[_Ready] = []
-                for delivery in pending:
-                    activity_id = delivery.activity_id
-                    activity = definition.activity(activity_id)
-                    agent = self.agent_for(activity.participant)
-                    document = agent._materialize(delivery.payload)
-                    if activity.join is JoinKind.AND:
-                        arity = len(definition.incoming(activity_id))
-                        buffer = join_buffers.setdefault(activity_id, [])
-                        buffer.append((document, delivery.wire_bytes))
-                        if len(buffer) < arity:
-                            continue
-                        join_buffers[activity_id] = []
-                        batch.append(_Ready(
-                            activity_id, buffer[0][0],
-                            [doc for doc, _ in buffer[1:]],
-                            sum(wire for _, wire in buffer),
-                        ))
-                    else:
-                        batch.append(_Ready(activity_id, document, [],
-                                            delivery.wire_bytes))
-                pending = []
-                if not batch:
-                    break
-                if step + len(batch) > max_steps:
-                    raise RuntimeFault(
-                        f"process exceeded {max_steps} steps "
-                        f"(runaway loop?)"
-                    )
-
-                def execute(item: _Ready):
-                    activity = definition.activity(item.activity_id)
-                    responder = responders.get(item.activity_id)
-                    if responder is None:
-                        raise RuntimeFault(
-                            f"no responder registered for activity "
-                            f"{item.activity_id!r}"
-                        )
-                    agent = self.agent_for(activity.participant)
-                    if mode == "basic":
-                        return agent.execute_activity(
-                            item.document, item.activity_id, responder,
-                            mode="basic", merge_with=item.merge_with,
-                        )
-                    return agent.execute_activity(
-                        item.document, item.activity_id, responder,
-                        mode="advanced",
-                        tfc_identity=self.tfc.identity,
-                        tfc_public_key=self.tfc.public_key,
-                        merge_with=item.merge_with,
-                    )
-
-                results = list(pool.map(execute, batch))
-
-                # Routing + trace bookkeeping stays sequential (and for
-                # advanced mode, so does the TFC — one logical notary).
-                for item, result in zip(batch, results):
-                    intermediate_size = None
-                    if mode == "basic":
-                        routing = result.routing
-                        document = result.document
-                        gamma = None
-                        alpha = result.timings.verify_seconds
-                    else:
-                        intermediate_size = result.document.size_bytes
-                        tfc_result = self.tfc.process(result.document)
-                        routing = tfc_result.routing
-                        document = tfc_result.document
-                        gamma = tfc_result.sign_seconds
-                        alpha = (result.timings.verify_seconds
-                                 + tfc_result.verify_seconds)
-                    step += 1
-                    activity = definition.activity(item.activity_id)
-                    trace.steps.append(StepTrace(
-                        step=step,
-                        label=f"X''_{result.activity_id}"
-                              f"^{result.iteration}",
-                        activity_id=result.activity_id,
-                        iteration=result.iteration,
-                        participant=activity.participant,
-                        alpha=alpha,
-                        beta=result.timings.sign_seconds,
-                        gamma=gamma,
-                        size_bytes=document.size_bytes,
-                        signatures_verified=(
-                            result.timings.signatures_verified),
-                        num_cers=len(
-                            document.cers(include_definition=False)),
-                        mode=mode,
-                        wire_bytes=item.wire_bytes,
-                        intermediate_size_bytes=intermediate_size,
-                        document=document,
-                    ))
-                    trace.final_document = document
-                    for next_activity in routing.next_activities:
-                        pending.append(self.package(
-                            definition, next_activity, document))
-
-        leftover = {
-            aid: len(docs) for aid, docs in join_buffers.items() if docs
-        }
-        if leftover:
-            raise RuntimeFault(
-                f"process ended with unsatisfied AND-joins: {leftover}"
-            )
-        return trace
+            while wave := execution.receive_wave():
+                results = list(pool.map(execution.execute, wave))
+                for ready, result in zip(wave, results):
+                    execution.finish(ready, result)
+        return execution.trace

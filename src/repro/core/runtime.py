@@ -24,9 +24,10 @@ from ..crypto.pki import KeyDirectory
 from ..document.delta import DeltaDocument, encode_delta
 from ..document.document import Dra4wfmsDocument
 from ..errors import RuntimeFault
+from ..model.activity import Activity
 from ..model.controlflow import JoinKind
 from ..model.definition import WorkflowDefinition
-from .aea import ActivityExecutionAgent, Responder
+from .aea import ActivityExecutionAgent, AeaResult, Responder
 from .tfc import TfcServer
 
 __all__ = ["StepTrace", "ExecutionTrace", "ProcessExecution",
@@ -112,16 +113,34 @@ class _Delivery:
     wire_bytes: int
 
 
+@dataclass
+class _Ready:
+    """A received delivery whose activity can execute now."""
+
+    step: int
+    activity: Activity
+    agent: ActivityExecutionAgent
+    responder: Responder | Mapping[str, str]
+    document: Dra4wfmsDocument
+    #: The other branch documents of an AND-join.
+    merge_with: list[Dra4wfmsDocument]
+    #: Wire bytes of every delivery this step consumed.
+    wire_bytes: int
+
+
 class ProcessExecution:
     """One in-flight process instance, advanced a hop at a time.
 
-    Created by :meth:`InMemoryRuntime.start`.  Each :meth:`step` call
-    executes at most one activity (delivering buffered AND-join branch
-    documents along the way) and returns its :class:`StepTrace`, or
-    ``None`` once the instance has run to completion.  Schedulers such
-    as the fleet fabric interleave many executions by round-robining
-    :meth:`step` across them; :meth:`InMemoryRuntime.run` is just
-    "step until done" on a single instance.
+    Created by :meth:`InMemoryRuntime.start`.  A hop has three parts:
+    :meth:`receive` takes one delivery (buffering AND-join arrivals),
+    :meth:`execute` runs the participant's AEA, and :meth:`finish`
+    finalises the result and routes it on.  :meth:`step` does all three
+    for the next queued delivery and returns its :class:`StepTrace`, or
+    ``None`` once the instance has run to completion; executions can be
+    interleaved by round-robining :meth:`step` across them.
+    :meth:`receive_wave` instead receives everything queued at once,
+    so a scheduler can execute the ready activities concurrently (see
+    :class:`~repro.core.parallel.ThreadedRuntime`).
     """
 
     def __init__(self,
@@ -144,9 +163,6 @@ class ProcessExecution:
             initial_size=initial_document.size_bytes,
             routing="delta" if runtime.delta_routing else "full",
         )
-        # The initial hand-off is always a full document: no agent has
-        # seen any of its chunks yet, so a delta would only add the
-        # manifest on top.
         # The initial hand-off goes through the same packaging as every
         # later hop: in delta mode the start participant has no chunks
         # yet, so the wire cost is the full document plus manifest — but
@@ -157,6 +173,7 @@ class ProcessExecution:
         )
         # AND-join branch buffers: activity id → (branch doc, wire bytes).
         self._join_buffers: dict[str, list[tuple[Dra4wfmsDocument, int]]] = {}
+        #: Activities received for execution so far (the step budget).
         self._step = 0
 
     @property
@@ -176,100 +193,108 @@ class ProcessExecution:
         actually executes or the queue drains.
         """
         while self._queue:
-            if self._step >= self.max_steps:
-                raise RuntimeFault(
-                    f"process exceeded {self.max_steps} steps "
-                    f"(runaway loop?)"
-                )
-            delivery = self._queue.popleft()
-            activity = self.definition.activity(delivery.activity_id)
-            agent = self.runtime.agent_for(activity.participant)
-            # Materialise the payload with the *receiving* agent so a
-            # delta is decoded against (and folded into) its chunk
-            # cache — exactly what a remote AEA would do.
-            incoming = agent._materialize(delivery.payload)
-            wire_bytes = delivery.wire_bytes
-
-            merge_with: list[Dra4wfmsDocument] = []
-            if activity.join is JoinKind.AND:
-                arity = len(self.definition.incoming(activity.activity_id))
-                buffer = self._join_buffers.setdefault(
-                    activity.activity_id, [])
-                buffer.append((incoming, wire_bytes))
-                if len(buffer) < arity:
-                    continue
-                self._join_buffers[activity.activity_id] = []
-                incoming = buffer[0][0]
-                merge_with = [doc for doc, _ in buffer[1:]]
-                wire_bytes = sum(wire for _, wire in buffer)
-
-            activity_id = activity.activity_id
-            responder = self.responders.get(activity_id)
-            if responder is None:
-                raise RuntimeFault(
-                    f"no responder registered for activity "
-                    f"{activity_id!r}"
-                )
-
-            tfc = self.runtime.tfc
-            if self.mode == "basic":
-                result = agent.execute_activity(
-                    incoming, activity_id, responder,
-                    mode="basic", merge_with=merge_with,
-                )
-                routing = result.routing
-                document = result.document
-                gamma = None
-                alpha = result.timings.verify_seconds
-            else:
-                result = agent.execute_activity(
-                    incoming, activity_id, responder,
-                    mode="advanced",
-                    tfc_identity=tfc.identity,
-                    tfc_public_key=tfc.public_key,
-                    merge_with=merge_with,
-                )
-                intermediate_size = result.document.size_bytes
-                tfc_result = tfc.process(result.document)
-                routing = tfc_result.routing
-                document = tfc_result.document
-                gamma = tfc_result.sign_seconds
-                alpha = (result.timings.verify_seconds
-                         + tfc_result.verify_seconds)
-
-            self._step += 1
-            step_trace = StepTrace(
-                step=self._step,
-                label=f"X''_{result.activity_id}^{result.iteration}",
-                activity_id=result.activity_id,
-                iteration=result.iteration,
-                participant=activity.participant,
-                alpha=alpha,
-                beta=result.timings.sign_seconds,
-                gamma=gamma,
-                size_bytes=document.size_bytes,
-                signatures_verified=result.timings.signatures_verified,
-                num_cers=len(document.cers(include_definition=False)),
-                mode=self.mode,
-                wire_bytes=wire_bytes,
-                intermediate_size_bytes=(
-                    intermediate_size if self.mode == "advanced" else None),
-                document=document,
-            )
-            self.trace.steps.append(step_trace)
-            self.trace.final_document = document
-
-            assert routing is not None
-            for next_activity in routing.next_activities:
-                self._queue.append(self._outgoing(next_activity, document))
-            return step_trace
-
+            ready = self.receive(self._queue.popleft())
+            if ready is not None:
+                return self.finish(ready, self.execute(ready))
         self._check_joins_drained()
         return None
 
-    def _outgoing(self, next_activity: str,
-                  document: Dra4wfmsDocument) -> _Delivery:
-        return self.runtime.package(self.definition, next_activity, document)
+    def receive_wave(self) -> list[_Ready]:
+        """Receive every queued delivery; the activities now ready.
+
+        An empty wave means the process is done.
+        """
+        deliveries, self._queue = self._queue, deque()
+        wave = [ready for ready in map(self.receive, deliveries)
+                if ready is not None]
+        if not wave:
+            self._check_joins_drained()
+        return wave
+
+    def receive(self, delivery: _Delivery) -> _Ready | None:
+        """Take one delivery; ``None`` while its AND-join still waits."""
+        if self._step >= self.max_steps:
+            raise RuntimeFault(
+                f"process exceeded {self.max_steps} steps "
+                f"(runaway loop?)"
+            )
+        activity = self.definition.activity(delivery.activity_id)
+        activity_id = activity.activity_id
+        agent = self.runtime.agent_for(activity.participant)
+        # Materialise the payload with the *receiving* agent so a delta
+        # is decoded against (and folded into) its chunk cache — exactly
+        # what a remote AEA would do.
+        arrivals = [(agent._materialize(delivery.payload),
+                     delivery.wire_bytes)]
+        if activity.join is JoinKind.AND:
+            buffer = self._join_buffers.setdefault(activity_id, [])
+            buffer.extend(arrivals)
+            if len(buffer) < len(self.definition.incoming(activity_id)):
+                return None
+            arrivals = self._join_buffers.pop(activity_id)
+        responder = self.responders.get(activity_id)
+        if responder is None:
+            raise RuntimeFault(
+                f"no responder registered for activity {activity_id!r}"
+            )
+        self._step += 1
+        return _Ready(
+            step=self._step, activity=activity, agent=agent,
+            responder=responder, document=arrivals[0][0],
+            merge_with=[doc for doc, _ in arrivals[1:]],
+            wire_bytes=sum(wire for _, wire in arrivals),
+        )
+
+    def execute(self, ready: _Ready) -> AeaResult:
+        """Run a ready activity in its participant's AEA.
+
+        Touches no execution state, so the activities of one wave may
+        execute concurrently.
+        """
+        tfc = self.runtime.tfc if self.mode == "advanced" else None
+        return ready.agent.execute_activity(
+            ready.document, ready.activity.activity_id, ready.responder,
+            mode=self.mode,
+            tfc_identity=tfc.identity if tfc else None,
+            tfc_public_key=tfc.public_key if tfc else None,
+            merge_with=ready.merge_with,
+        )
+
+    def finish(self, ready: _Ready, result: AeaResult) -> StepTrace:
+        """Finalise an executed activity: TFC, trace row, routing."""
+        document, routing = result.document, result.routing
+        alpha = result.timings.verify_seconds
+        gamma = intermediate_size = None
+        if self.mode == "advanced":
+            intermediate_size = document.size_bytes
+            tfc_result = self.runtime.tfc.process(document)
+            document, routing = tfc_result.document, tfc_result.routing
+            alpha += tfc_result.verify_seconds
+            gamma = tfc_result.sign_seconds
+        step_trace = StepTrace(
+            step=ready.step,
+            label=f"X''_{result.activity_id}^{result.iteration}",
+            activity_id=result.activity_id,
+            iteration=result.iteration,
+            participant=ready.activity.participant,
+            alpha=alpha,
+            beta=result.timings.sign_seconds,
+            gamma=gamma,
+            size_bytes=document.size_bytes,
+            signatures_verified=result.timings.signatures_verified,
+            num_cers=len(document.cers(include_definition=False)),
+            mode=self.mode,
+            wire_bytes=ready.wire_bytes,
+            intermediate_size_bytes=intermediate_size,
+            document=document,
+        )
+        self.trace.steps.append(step_trace)
+        self.trace.final_document = document
+        assert routing is not None
+        for next_activity in routing.next_activities:
+            self._queue.append(self.runtime.package(
+                self.definition, next_activity, document))
+        return step_trace
 
     def _check_joins_drained(self) -> None:
         leftover = {

@@ -85,8 +85,7 @@ class TfcServer:
                  keep_copies: bool = True,
                  trusted_tfcs: set[str] | None = None,
                  verify_cache: VerificationCache | None = None,
-                 verify_workers: int | None = None,
-                 verify_batch: bool | None = None) -> None:
+                 verify_workers: int | None = None) -> None:
         self.keypair = keypair
         self.directory = directory
         self.backend = backend or default_backend()
@@ -105,10 +104,9 @@ class TfcServer:
         #: Opt-in shared signature cache for incremental verification
         #: (``None`` keeps every ``process()`` a cold verify).
         self.verify_cache = verify_cache
-        #: Batched RSA verification knobs forwarded to
-        #: :func:`verify_document` (see its *workers*/*batch* docs).
+        #: Batched RSA verification threads forwarded to
+        #: :func:`verify_document` (see its *workers* docs).
         self.verify_workers = verify_workers
-        self.verify_batch = verify_batch
         #: TFC identities whose CERs this server accepts in incoming
         #: documents.  Cross-enterprise deployments run one TFC per
         #: enterprise (Fig. 6 shows a TFC per hop); list the federation
@@ -159,7 +157,6 @@ class TfcServer:
                 tfc_identities=self.trusted_tfcs,
                 cache=self.verify_cache,
                 workers=self.verify_workers,
-                batch=self.verify_batch,
             )
             from ..document.amendments import effective_definition
 

@@ -23,7 +23,6 @@ __all__ = [
     "PureBackend",
     "VerifyJob",
     "default_backend",
-    "dispatch_verify_batch",
     "sequential_verify_batch",
     "set_default_backend",
 ]
@@ -195,24 +194,6 @@ def sequential_verify_batch(backend: CryptoBackend,
                             jobs: list[VerifyJob]) -> list[Exception | None]:
     """Reference batch implementation: in-order, one check per job."""
     return [_verify_one(backend, job) for job in jobs]
-
-
-def dispatch_verify_batch(backend: CryptoBackend,
-                          jobs: list[VerifyJob],
-                          workers: int | None = None,
-                          ) -> list[Exception | None]:
-    """Run *jobs* through the backend's batch verifier.
-
-    Falls back to the sequential reference loop for backends that
-    predate :meth:`CryptoBackend.verify_batch` (third-party test
-    doubles), so callers can batch unconditionally.
-    """
-    if not jobs:
-        return []
-    method = getattr(backend, "verify_batch", None)
-    if method is None:
-        return sequential_verify_batch(backend, jobs)
-    return method(jobs, workers=workers)
 
 
 _default: CryptoBackend | None = None

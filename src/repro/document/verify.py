@@ -29,12 +29,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass, field
 
-from ..crypto.backend import (
-    CryptoBackend,
-    VerifyJob,
-    default_backend,
-    dispatch_verify_batch,
-)
+from ..crypto.backend import CryptoBackend, VerifyJob, default_backend
 from ..crypto.pki import KeyDirectory
 from ..crypto.pure.rsa import RsaPrivateKey, RsaPublicKey
 from ..errors import (
@@ -130,8 +125,8 @@ class _SignatureChecker:
         The digest phase (reference comparisons, structural checks) runs
         sequentially — it is cheap and shares the digest memo without
         contention — then every surviving RSA check goes through a
-        single :func:`dispatch_verify_batch` call, which the backend may
-        fan across *workers* threads.
+        single :meth:`~repro.crypto.backend.CryptoBackend.verify_batch`
+        call, which the backend may fan across *workers* threads.
 
         Failures are *not* raised here: the sequential pass re-raises
         them at the same point in document order a serial verification
@@ -163,8 +158,7 @@ class _SignatureChecker:
             pending.append((sid, signature, key))
         if not rsa_jobs:
             return
-        results = dispatch_verify_batch(self.backend, rsa_jobs,
-                                        workers=workers)
+        results = self.backend.verify_batch(rsa_jobs, workers=workers)
         for (sid, signature, key), error in zip(pending, results):
             if error is None:
                 self._memo[sid] = ("fresh", None)
@@ -221,7 +215,6 @@ def verify_document(
     tfc_identities: set[str] | None = None,
     cache: VerificationCache | None = None,
     workers: int | None = None,
-    batch: bool | None = None,
 ) -> VerificationReport:
     """Verify *document* end to end.
 
@@ -247,18 +240,14 @@ def verify_document(
         cache and takes the full cryptographic path.  Omit for a cold
         (trust-nothing) verification — the default.
     workers:
-        When > 1, fan the independent RSA signature checks across a
-        thread pool of this size (useful for cold auditor/offline
-        verifies of long cascades).  Error behaviour is unchanged: the
-        first failure in document order is raised.
-    batch:
-        Force the batched pre-verification path even with one worker:
-        all fresh RSA checks go through one
+        When > 1, every fresh RSA check goes through one
         :meth:`~repro.crypto.backend.CryptoBackend.verify_batch`
-        dispatch.  Verdicts, failing-CER attribution, and cache
-        accounting are identical to the sequential path (the
-        differential suite in ``tests/document/test_batch_differential``
-        pins this).  Defaults to following *workers*.
+        dispatch, which fans them across a thread pool of this size
+        (useful for cold auditor/offline verifies of long cascades).
+        Verdicts, failing-CER attribution, and cache accounting are
+        identical to the sequential path (the differential suite in
+        ``tests/document/test_batch_differential`` pins this): the
+        first failure in document order is raised.
     """
     backend = backend or default_backend()
     report = VerificationReport(
@@ -273,7 +262,7 @@ def verify_document(
         raise TamperDetected(str(exc)) from exc
     checker = _SignatureChecker(document.root, backend, id_index, cache,
                                 report)
-    if (workers is not None and workers > 1) or batch:
+    if workers is not None and workers > 1:
         # Pre-verify every resolvable signature in one batch; outcomes
         # surface below at the same point serial verification would
         # reach them.  Unresolvable signers/signatures are left for the

@@ -5,9 +5,9 @@
 deterministic discrete-event simulation over one :class:`CloudSystem`.
 Every document still does the real cryptographic work (real CERs, real
 cascade signatures — the auditor hook re-verifies finished instances
-cold), but *when* things happen is governed by an event heap on the
-shared :class:`SimClock` and by FIFO service stations modelling the
-shared components:
+cold), but *when* things happen is governed by the fleet's own event
+heap, which advances the shared :class:`SimClock`, and by FIFO service
+stations modelling the shared components:
 
 ========  =====================================================
 station   models
@@ -49,7 +49,7 @@ from ..crypto.keys import KeyPair
 from ..document.builder import build_initial_document
 from ..document.vcache import VerificationCache
 from ..document.verify import verify_document
-from ..errors import FleetError, JoinNotReady
+from ..errors import FleetError, JoinNotReady, ReproError
 from ..model.controlflow import JoinKind
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import Tracer
@@ -59,13 +59,36 @@ from .report import FleetReport
 from .stations import Station
 from .workload import FleetWorkload
 
-__all__ = ["FleetConfig", "Fleet", "build_fleet", "TFC_IDENTITY"]
+__all__ = ["FleetConfig", "Fleet", "audit_failed", "build_fleet",
+           "TFC_IDENTITY"]
 
 #: Identity the convenience builder enrolls for the cloud's notary.
 TFC_IDENTITY = "tfc@cloud.example"
 
 #: Visit order of captured components within one operation.
 _STAGE_ORDER = ("portal", "pool", "notify")
+
+
+def audit_failed(system: CloudSystem, process_id: str,
+                 workers: int | None) -> bool:
+    """Cold full-cascade re-verification of one finished instance.
+
+    True when the verifier rejects the pooled document.  Only a verdict
+    counts: the document is fetched outside the ``try``, and anything
+    but a :class:`~repro.errors.ReproError` propagates, so a crash in
+    the verifier can never pass for detected tampering.
+    """
+    document = system.pool.latest(process_id)
+    try:
+        verify_document(
+            document, system.directory, system.backend,
+            definition_reader=(system.tfc.identity,
+                               system.tfc.keypair.private_key),
+            workers=workers,
+        )
+    except ReproError:
+        return True
+    return False
 
 
 @dataclass(frozen=True)
@@ -84,11 +107,10 @@ class FleetConfig:
     aea_workers: int = 1
     #: Cold-re-verify every Nth completed instance (0 disables).
     audit_every: int = 25
-    #: Batched RSA verification knobs for audits and the cloud's
+    #: Threads for batched RSA verification in audits and the cloud's
     #: TFC/portal verifies (see :func:`verify_document`).  ``None``
     #: keeps the sequential path.
     verify_workers: int | None = None
-    verify_batch: bool | None = None
     costs: CryptoCostModel = field(default_factory=CryptoCostModel)
     #: Hard stop against runaway event loops.
     max_events: int = 5_000_000
@@ -537,16 +559,8 @@ class Fleet:
         self._audited += 1
         with self._span("audit", component="crypto",
                         instance=instance.process_id):
-            document = self.system.pool.latest(instance.process_id)
-            try:
-                verify_document(
-                    document, self.system.directory, self.system.backend,
-                    definition_reader=(self.system.tfc.identity,
-                                       self.system.tfc.keypair.private_key),
-                    workers=self.config.verify_workers,
-                    batch=self.config.verify_batch,
-                )
-            except Exception:
+            if audit_failed(self.system, instance.process_id,
+                            self.config.verify_workers):
                 self._audit_failures += 1
 
     # -- main loop ------------------------------------------------------------
@@ -758,7 +772,6 @@ def build_fleet(workload: FleetWorkload,
         verify_cache=VerificationCache() if shared_cache else None,
         delta_routing=delta_routing,
         verify_workers=config.verify_workers,
-        verify_batch=config.verify_batch,
         placement=placement,
         chunk_replicas=chunk_replicas,
         split_threshold_rows=split_threshold_rows,

@@ -10,11 +10,12 @@ Design constraints that shape the code:
 
 * **Picklable work units.**  Responder closures, key directories and
   live cloud components do not pickle, so nothing of that sort crosses
-  the process boundary.  Each worker process rebuilds the world from
-  :meth:`~repro.workloads.participants.World.to_dict` and the workload
-  from its spec string once (pool initializer); per-instance work units
-  are then just integers, and results come back as the plain
-  :class:`InstanceResult` value object.
+  the process boundary.  The pool initializer hands each worker the
+  frozen :class:`RealFleetConfig` itself plus the world's
+  :meth:`~repro.workloads.participants.World.to_dict` snapshot; the
+  worker rebuilds the world, and the workload from its spec string,
+  once.  Per-instance work units are then just integers, and results
+  come back as the plain :class:`InstanceResult` value object.
 * **Placement-independent determinism.**  Every instance gets its
   *own* :class:`~repro.cloud.system.CloudSystem` (fresh HBase regions,
   fresh caches) and a process id derived from ``(seed, index)``, so an
@@ -31,8 +32,8 @@ Design constraints that shape the code:
 
 The audit hook cold-verifies every ``audit_every``-th instance *by
 index* (the simulated fleet audits by completion order, which is not
-stable under real concurrency) and forwards the batched-verification
-knobs, so ``--real`` load tests exercise ``verify_batch()`` under true
+stable under real concurrency) with ``verify_workers`` threads, so
+``--real`` load tests exercise ``verify_batch()`` under true
 parallelism.
 """
 
@@ -41,17 +42,16 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 from ..cloud.simclock import SimClock
-from ..cloud.system import CloudClient, CloudSystem
+from ..cloud.system import CloudSystem, drive_instance
 from ..document.builder import build_initial_document
 from ..document.vcache import VerificationCache
-from ..document.verify import verify_document
-from ..errors import CloudError, JoinNotReady
 from ..obs.tracer import Tracer
 from ..workloads.participants import World, build_world
-from .fleet import TFC_IDENTITY
+from .fleet import TFC_IDENTITY, audit_failed
 from .report import RealFleetReport
 from .workload import FleetWorkload, workload_from_spec
 
@@ -75,9 +75,8 @@ class RealFleetConfig:
     audit_every: int = 25
     #: Delta document routing inside each instance's cloud.
     delta_routing: bool = False
-    #: Batched RSA verification knobs (see :func:`verify_document`).
+    #: Threads for batched RSA verification (see :func:`verify_document`).
     verify_workers: int | None = None
-    verify_batch: bool | None = None
     #: RSA modulus for the generated world (when none is supplied).
     bits: int = 1024
     #: Portals / region servers per per-instance cloud.
@@ -118,85 +117,33 @@ class InstanceResult:
     trace: dict[str, object] | None = None
 
 
-# Worker-process state, rebuilt once per process by :func:`_init_worker`
-# (responders and directories do not pickle; the spec + world dict do).
-_WORKER: dict[str, object] = {}
+@dataclass
+class _Worker:
+    """What one worker process runs instances with."""
+
+    config: RealFleetConfig
+    world: World
+    workload: FleetWorkload
+    trace: bool
 
 
-def _init_worker(payload: dict[str, object]) -> None:
+# Set once per process by :func:`_init_worker`.
+_worker: _Worker | None = None
+
+
+def _init_worker(config: RealFleetConfig, world: dict[str, object],
+                 trace: bool) -> None:
     """Pool initializer: rebuild world + workload inside this process."""
-    world = World.from_dict(payload["world"])  # type: ignore[arg-type]
-    workload = workload_from_spec(
-        str(payload["spec"]), loops=int(payload["loops"]),  # type: ignore[arg-type]
-    )
-    _WORKER.clear()
-    _WORKER.update(payload)
-    _WORKER["world_obj"] = world
-    _WORKER["workload_obj"] = workload
-
-
-def _drive_instance(system: CloudSystem, workload: FleetWorkload,
-                    world: World, process_id: str,
-                    max_rounds: int = 10_000) -> tuple[int, list[CloudClient]]:
-    """Run one instance start to finish; return (hops, clients).
-
-    Adapted from :func:`~repro.cloud.system.run_process_in_cloud`, but
-    keeps the clients so the caller can read their wire counters.
-    """
-    designer = workload.designer
-    initial = build_initial_document(
-        workload.definition, world.keypair(designer),
-        process_id=process_id, backend=system.backend,
-        # Simulated creation time, as in the event-driven fleet: host
-        # wall clocks would leak varying float widths into byte counts.
-        created_at=0.0,
-    )
-    clients = {
-        identity: system.client(world.keypair(identity))
-        for identity in workload.identities
-    }
-    clients[designer].upload_initial(initial)
-
-    hops = 0
-    for _ in range(max_rounds):
-        progressed = False
-        pending = False
-        for identity, client in clients.items():
-            if identity == designer:
-                continue
-            for entry in client.todo():
-                if entry.process_id != process_id:
-                    continue
-                pending = True
-                responder = workload.responders.get(entry.activity_id)
-                if responder is None:
-                    raise CloudError(
-                        f"no responder for activity {entry.activity_id!r}"
-                    )
-                try:
-                    client.execute(process_id, entry.activity_id, responder)
-                    progressed = True
-                    hops += 1
-                except JoinNotReady:
-                    continue
-        if not pending:
-            return hops, list(clients.values())
-        if not progressed:
-            raise CloudError(
-                f"process {process_id!r} deadlocked: pending work exists "
-                f"but nothing can execute"
-            )
-    raise CloudError(f"process {process_id!r} exceeded {max_rounds} rounds")
+    global _worker
+    _worker = _Worker(config, World.from_dict(world),
+                      workload_from_spec(config.spec, loops=config.loops),
+                      trace)
 
 
 def _run_instance(index: int) -> InstanceResult:
     """One complete process instance inside a (possibly pooled) worker."""
-    world: World = _WORKER["world_obj"]  # type: ignore[assignment]
-    workload: FleetWorkload = _WORKER["workload_obj"]  # type: ignore[assignment]
-    seed = int(_WORKER["seed"])  # type: ignore[arg-type]
-    audit_every = int(_WORKER["audit_every"])  # type: ignore[arg-type]
-    verify_workers = _WORKER["verify_workers"]
-    verify_batch = _WORKER["verify_batch"]
+    assert _worker is not None
+    config, world, workload = _worker.config, _worker.world, _worker.workload
 
     start = time.perf_counter()
     # Fresh per-INSTANCE cloud: determinism must not depend on which
@@ -204,60 +151,56 @@ def _run_instance(index: int) -> InstanceResult:
     system = CloudSystem(
         world.directory,
         world.keypair(TFC_IDENTITY),
-        portals=int(_WORKER["portals"]),  # type: ignore[arg-type]
-        region_servers=int(_WORKER["region_servers"]),  # type: ignore[arg-type]
+        portals=config.portals,
+        region_servers=config.region_servers,
         backend=world.backend,
         verify_cache=VerificationCache(),
-        delta_routing=bool(_WORKER["delta_routing"]),
-        verify_workers=verify_workers,  # type: ignore[arg-type]
-        verify_batch=verify_batch,  # type: ignore[arg-type]
-        placement=str(_WORKER["placement"]),
-        chunk_replicas=_WORKER["chunk_replicas"],  # type: ignore[arg-type]
-        split_threshold_rows=int(_WORKER["split_threshold_rows"]),  # type: ignore[arg-type]
-        split_threshold_bytes=_WORKER["split_threshold_bytes"],  # type: ignore[arg-type]
+        delta_routing=config.delta_routing,
+        verify_workers=config.verify_workers,
+        placement=config.placement,
+        chunk_replicas=config.chunk_replicas,
+        split_threshold_rows=config.split_threshold_rows,
+        split_threshold_bytes=config.split_threshold_bytes,
     )
-    process_id = f"real{seed}-{index:06d}"
+    process_id = f"real{config.seed}-{index:06d}"
     # Per-instance tracer: each worker collects its own span tree (over
     # a fresh cursor) and ships it back as a picklable payload; the
     # parent re-bases and concatenates them in index order, mirroring
     # how the simulated charges merge through CostCapture/absorb.
-    tracer = Tracer() if _WORKER.get("trace") else None
+    tracer = Tracer() if _worker.trace else None
     if tracer is not None:
         system.attach_tracer(tracer)
-    trace_span = (tracer.span("instance", component="fleet",
-                              instance=process_id)
-                  if tracer is not None else None)
-    with system.clock.capture() as captured:
-        if trace_span is not None:
-            trace_span.__enter__()
-        try:
-            hops, clients = _drive_instance(system, workload, world,
-                                            process_id)
-            audited = bool(audit_every) and index % audit_every == 0
-            audit_failed = False
-            if audited:
-                document = system.pool.latest(process_id)
-                try:
-                    verify_document(
-                        document, system.directory, system.backend,
-                        definition_reader=(system.tfc.identity,
-                                           system.tfc.keypair.private_key),
-                        workers=verify_workers,  # type: ignore[arg-type]
-                        batch=verify_batch,  # type: ignore[arg-type]
-                    )
-                except Exception:
-                    audit_failed = True
-        finally:
-            if trace_span is not None:
-                trace_span.__exit__(None, None, None)
+    with system.clock.capture() as captured, (
+            tracer.span("instance", component="fleet", instance=process_id)
+            if tracer is not None else nullcontext()):
+        initial = build_initial_document(
+            workload.definition, world.keypair(workload.designer),
+            process_id=process_id, backend=system.backend,
+            # Simulated creation time, as in the event-driven fleet: host
+            # wall clocks would leak varying float widths into byte counts.
+            created_at=0.0,
+        )
+        clients = {
+            identity: system.client(world.keypair(identity))
+            for identity in workload.identities
+        }
+        clients[workload.designer].upload_initial(initial)
+        hops = drive_instance(
+            [client for identity, client in clients.items()
+             if identity != workload.designer],
+            process_id, workload.responders,
+        )
+        audited = bool(config.audit_every) and index % config.audit_every == 0
+        failed = audited and audit_failed(system, process_id,
+                                          config.verify_workers)
     return InstanceResult(
         index=index,
         process_id=process_id,
         hops=hops,
-        bytes_to_cloud=sum(c.bytes_sent for c in clients),
-        bytes_from_cloud=sum(c.bytes_received for c in clients),
+        bytes_to_cloud=sum(c.bytes_sent for c in clients.values()),
+        bytes_from_cloud=sum(c.bytes_received for c in clients.values()),
         audited=audited,
-        audit_failed=audit_failed,
+        audit_failed=failed,
         # Aggregate per component before pickling: the report only needs
         # sums, and the raw charge list grows with every simulated RPC.
         charges=sorted(captured.by_component().items()),
@@ -294,36 +237,20 @@ def run_real_fleet(config: RealFleetConfig,
     if world is None:
         world = build_world([*workload.identities, TFC_IDENTITY],
                             bits=config.bits)
-    payload: dict[str, object] = {
-        "world": world.to_dict(),
-        "spec": config.spec,
-        "loops": config.loops,
-        "seed": config.seed,
-        "audit_every": config.audit_every,
-        "delta_routing": config.delta_routing,
-        "verify_workers": config.verify_workers,
-        "verify_batch": config.verify_batch,
-        "portals": config.portals,
-        "region_servers": config.region_servers,
-        "placement": config.placement,
-        "chunk_replicas": config.chunk_replicas,
-        "split_threshold_rows": config.split_threshold_rows,
-        "split_threshold_bytes": config.split_threshold_bytes,
-        "trace": tracer is not None,
-    }
+    initargs = (config, world.to_dict(), tracer is not None)
 
     wall_start = time.perf_counter()
     indices = range(config.instances)
     if config.workers == 1 or config.instances <= 1:
         # Same code path as the pool, minus the processes: initialize
         # this process as "the worker" and map inline.
-        _init_worker(payload)
+        _init_worker(*initargs)
         results = [_run_instance(index) for index in indices]
     else:
         with ProcessPoolExecutor(
             max_workers=config.workers,
             initializer=_init_worker,
-            initargs=(payload,),
+            initargs=initargs,
         ) as pool:
             chunksize = max(1, config.instances // (config.workers * 4))
             results = list(pool.map(_run_instance, indices,

@@ -34,42 +34,6 @@ def test_zero_advance_allowed():
     assert clock.now() == 3.0
 
 
-def test_scheduled_callbacks_fire_in_order():
-    clock = SimClock()
-    fired = []
-    clock.schedule(2.0, lambda: fired.append(("b", clock.now())))
-    clock.schedule(1.0, lambda: fired.append(("a", clock.now())))
-    clock.advance(3.0)
-    assert fired == [("a", 1.0), ("b", 2.0)]
-    assert clock.now() == 3.0
-
-
-def test_callbacks_beyond_horizon_wait():
-    clock = SimClock()
-    fired = []
-    clock.schedule(10.0, lambda: fired.append("late"))
-    clock.advance(5.0)
-    assert fired == []
-    assert clock.pending_events == 1
-    clock.advance(5.0)
-    assert fired == ["late"]
-    assert clock.pending_events == 0
-
-
-def test_negative_delay_rejected():
-    with pytest.raises(ValueError):
-        SimClock().schedule(-0.1, lambda: None)
-
-
-def test_same_time_callbacks_fifo():
-    clock = SimClock()
-    fired = []
-    clock.schedule(1.0, lambda: fired.append(1))
-    clock.schedule(1.0, lambda: fired.append(2))
-    clock.advance(2.0)
-    assert fired == [1, 2]
-
-
 # -- properties --------------------------------------------------------------
 
 _durations = st.floats(min_value=0.0, max_value=1e6,
@@ -195,16 +159,6 @@ def test_absorb_without_capture_advances_time():
     clock = SimClock(10.0)
     clock.absorb(CostCapture([("pool", 1.5), ("notify", 0.5)]))
     assert clock.now() == pytest.approx(12.0)
-
-
-def test_absorb_fires_due_callbacks():
-    """Absorbed time is real time: scheduled events still fire."""
-    clock = SimClock()
-    fired = []
-    clock.schedule(1.0, lambda: fired.append(clock.now()))
-    clock.absorb([("pool", 2.0)])
-    assert fired == [1.0]
-    assert clock.now() == pytest.approx(2.0)
 
 
 @given(charges=st.lists(st.tuples(

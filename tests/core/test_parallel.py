@@ -8,7 +8,12 @@ from repro.core import InMemoryRuntime, TfcServer
 from repro.core.parallel import ThreadedRuntime
 from repro.document import build_initial_document, verify_document
 from repro.errors import RuntimeFault
-from repro.workloads.figure9 import DESIGNER, figure9_responders
+from repro.workloads.figure9 import (
+    DESIGNER,
+    figure9_responders,
+    figure_9a_definition,
+    figure_9b_definition,
+)
 from repro.workloads.generator import (
     auto_responders,
     diamond_definition,
@@ -111,6 +116,52 @@ class TestWideDiamonds:
         assert {c.cer_id
                 for c in sequential.final_document.cers()} == \
             {c.cer_id for c in threaded.final_document.cers()}
+
+
+#: Per-step trace fields that must not depend on the scheduler.
+ROW_FIELDS = ("activity_id", "iteration", "participant",
+              "signatures_verified", "num_cers", "size_bytes",
+              "intermediate_size_bytes", "wire_bytes")
+
+#: case → (definition factory, designer, responders factory, mode)
+TRACE_CASES = {
+    "fig9a-basic": (figure_9a_definition, DESIGNER,
+                    lambda _: figure9_responders(1), "basic"),
+    "fig9b-advanced": (figure_9b_definition, DESIGNER,
+                       lambda _: figure9_responders(1), "advanced"),
+    "diamond4-basic": (
+        lambda: diamond_definition(4, participant_pool(6),
+                                   designer=GENERIC_DESIGNER),
+        GENERIC_DESIGNER, auto_responders, "basic"),
+}
+
+
+class TestTraceEquivalence:
+    """Wave order reproduces the sequential trace row by row."""
+
+    @pytest.mark.parametrize("delta", [False, True], ids=["full", "delta"])
+    @pytest.mark.parametrize("case", sorted(TRACE_CASES))
+    def test_rows_match_sequential(self, world, backend, case, delta):
+        make_definition, designer, make_responders, mode = TRACE_CASES[case]
+        definition = make_definition()
+        responders = make_responders(definition)
+
+        def rows(runtime_cls):
+            initial = build_initial_document(
+                definition, world.keypair(designer), backend=backend,
+                created_at=0.0,
+            )
+            tfc = (TfcServer(world.keypair("tfc@cloud.example"),
+                             world.directory, backend=backend)
+                   if mode == "advanced" else None)
+            runtime = runtime_cls(world.directory, world.keypairs, tfc=tfc,
+                                  backend=backend, delta_routing=delta)
+            trace = runtime.run(initial, definition, responders, mode=mode)
+            assert trace.routing == ("delta" if delta else "full")
+            return [tuple(getattr(step, name) for name in ROW_FIELDS)
+                    for step in trace.steps]
+
+        assert rows(ThreadedRuntime) == rows(InMemoryRuntime)
 
 
 class TestErrors:

@@ -1,22 +1,23 @@
 """Differential harness: batched RSA verification ≡ sequential.
 
-``verify_document(..., workers=N)`` collects every cascade signature's
-RSA check into one ``verify_batch()`` dispatch instead of verifying
-inline.  That is only an optimisation if it is *observationally
+``verify_document(..., workers=N)`` with N > 1 collects every cascade
+signature's RSA check into one ``verify_batch()`` dispatch instead of
+verifying inline.  That is only an optimisation if it is *observationally
 identical* — same accept/reject verdict, same exception type, same
 failing-signature attribution in the message — on every input the
 sequential path handles.  This suite proves that differentially:
 
 * every case of the adversarial tamper-matrix registry
   (:mod:`tamper_cases`: 96 mutations across two document models) is
-  replayed under the sequential, forced-batch, and threaded-batch
-  paths, and the three outcomes are compared verbatim;
+  replayed under the sequential path and under batches of two and of
+  eight workers, and the three outcomes are compared verbatim;
 * pristine documents produce byte-equal verification reports across
   all paths (and across both crypto backends);
 * a Hypothesis property sweeps randomly generated topologies
   (chain/diamond × width × participant-pool size), random worker
-  counts, and a random optional signature flip, asserting the same
-  equivalence on documents no one hand-picked.
+  counts (``None`` and 1 stay sequential), and a random optional
+  signature flip, asserting the same equivalence on documents no one
+  hand-picked.
 """
 
 from __future__ import annotations
@@ -46,9 +47,8 @@ except ImportError:  # pragma: no cover - hypothesis ships with the image
 
 #: (label, verify_document kwargs) for every batched path under test.
 BATCH_MODES = [
-    ("forced-batch", {"batch": True}),
     ("two-workers", {"workers": 2}),
-    ("many-workers", {"workers": 8, "batch": True}),
+    ("many-workers", {"workers": 8}),
 ]
 
 
@@ -152,13 +152,11 @@ if HAVE_HYPOTHESIS:
         size=st.integers(min_value=2, max_value=5),
         pool=st.integers(min_value=1, max_value=POOL),
         workers=st.sampled_from([None, 1, 2, 3, 8]),
-        force_batch=st.booleans(),
         tamper_at=st.one_of(st.none(), st.integers(min_value=0,
                                                    max_value=31)),
     )
     def test_random_topologies_equivalent(topo_world, backend, kind, size,
-                                          pool, workers, force_batch,
-                                          tamper_at):
+                                          pool, workers, tamper_at):
         """Sequential ≡ batched on random workloads and batch shapes."""
         pristine = _executed_document(topo_world, backend, kind, size, pool)
         document = pristine.clone()
@@ -168,8 +166,7 @@ if HAVE_HYPOTHESIS:
 
         sequential = outcome(document, topo_world.directory, backend)
         batched = outcome(document, topo_world.directory, backend,
-                          workers=workers,
-                          batch=True if force_batch else None)
+                          workers=workers)
         assert batched == sequential
         assert sequential[0] == ("accepted" if tamper_at is None
                                  else "rejected")

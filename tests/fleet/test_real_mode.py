@@ -30,6 +30,7 @@ from repro.fleet import (
     run_real_fleet,
     workload_from_spec,
 )
+from repro.errors import TamperDetected
 from repro.fleet.fleet import TFC_IDENTITY
 from repro.workloads.participants import build_world
 
@@ -102,9 +103,57 @@ class TestWorkerCountIndependence:
                                                   serial_and_pooled):
         """Batched RSA verification changes no deterministic quantity."""
         serial, _ = serial_and_pooled
-        batched = run_real(2, real_world, verify_workers=2,
-                           verify_batch=True)
+        batched = run_real(2, real_world, verify_workers=2)
         assert batched.deterministic_dict() == serial.deterministic_dict()
+
+
+class TestAuditVerdicts:
+    """Both fleet audit paths count verifier verdicts, not verifier
+    crashes: a crash propagates, a rejection is one audit failure."""
+
+    def run_sim(self):
+        return build_fleet(
+            workload_from_spec(SPEC),
+            FleetConfig(arrivals=ClosedLoop(instances=2, concurrency=1),
+                        audit_every=2),
+        ).run()
+
+    def run_real_inline(self, world):
+        return run_real_fleet(
+            RealFleetConfig(spec=SPEC, instances=2, seed=11, workers=1,
+                            audit_every=2),
+            world=world,
+        )
+
+    @staticmethod
+    def patch_verifier(monkeypatch, error: Exception) -> None:
+        def verify_document(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("repro.fleet.fleet.verify_document",
+                            verify_document)
+
+    def test_verifier_crash_propagates_from_sim_fleet(self, monkeypatch):
+        self.patch_verifier(monkeypatch, RuntimeError("verifier bug"))
+        with pytest.raises(RuntimeError, match="verifier bug"):
+            self.run_sim()
+
+    def test_verifier_crash_propagates_from_real_fleet(self, monkeypatch,
+                                                       real_world):
+        self.patch_verifier(monkeypatch, RuntimeError("verifier bug"))
+        with pytest.raises(RuntimeError, match="verifier bug"):
+            self.run_real_inline(real_world)
+
+    def test_rejection_counts_once_in_sim_fleet(self, monkeypatch):
+        self.patch_verifier(monkeypatch, TamperDetected("forged"))
+        report = self.run_sim()
+        assert (report.instances_audited, report.audit_failures) == (1, 1)
+
+    def test_rejection_counts_once_in_real_fleet(self, monkeypatch,
+                                                 real_world):
+        self.patch_verifier(monkeypatch, TamperDetected("forged"))
+        report = self.run_real_inline(real_world)
+        assert (report.instances_audited, report.audit_failures) == (1, 1)
 
 
 class TestRealModeValidation:
