@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..document.delta import Manifest, assemble, chunk_document, seed_chunks
-from ..document.document import Dra4wfmsDocument
+from ..document.document import Dra4wfmsDocument, grows_by_append
 from ..errors import (
     DeltaError,
     ReplayDetected,
@@ -126,7 +126,13 @@ class DocumentPool:
     # -- documents ----------------------------------------------------------------
 
     def store(self, document: Dra4wfmsDocument) -> int:
-        """Store a new version of a process's document; returns the seq."""
+        """Store a new version of a process's document; returns the seq.
+
+        The rollback guard refuses a version that lost a stored CER.  In
+        full mode a version that only appends to the stored one
+        (:func:`~repro.document.document.grows_by_append`) passes without
+        a parse, and any other must keep every stored CER id.
+        """
         process_id = document.process_id
         if not self.is_registered(process_id):
             raise StorageError(
@@ -143,7 +149,7 @@ class DocumentPool:
                 f"its evidence lives in the archival bundle"
             )
         previous = row.get((_FAMILY_DOC, "latest"))
-        if previous is not None:
+        if previous is not None and not grows_by_append(previous, data):
             # Monotonicity guard: a process document only ever grows.
             # Storing a copy that lost CERs is a rollback/truncation
             # attack — the one alteration signature verification alone

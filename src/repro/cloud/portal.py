@@ -27,13 +27,14 @@ from ..core.tfc import TfcServer
 from ..crypto.backend import CryptoBackend, default_backend
 from ..crypto.pki import KeyDirectory
 from ..document.delta import DeltaDocument, Manifest, assemble, seed_chunks
-from ..document.document import Dra4wfmsDocument
+from ..document.document import Dra4wfmsDocument, grows_by_append
 from ..document.vcache import VerificationCache
 from ..document.verify import verify_document
 from ..errors import (
     DeltaFallbackRequired,
     DeltaMismatch,
     PortalError,
+    ReproError,
     RuntimeFault,
 )
 from ..model.controlflow import JoinKind
@@ -216,22 +217,21 @@ class PortalServer:
                                component="portal")
             try:
                 with self.clock.trace("portal.verify", "crypto"):
-                    verify_document(
+                    definition = verify_document(
                         document, self.directory, self.backend,
                         definition_reader=(self.tfc.identity,
                                            self.tfc.keypair.private_key),
                         cache=self.verify_cache,
                         workers=self.verify_workers,
-                    )
-            except Exception as exc:
+                    ).definition
+            except ReproError as exc:
                 self.stats["rejected"] += 1
                 raise PortalError(
                     f"initial document rejected: {exc}") from exc
 
-            definition = self._definition_of(document)
             try:
                 self.pool.register_process(document.process_id)
-            except Exception as exc:
+            except ReproError as exc:
                 self.stats["rejected"] += 1
                 raise PortalError(
                     f"initial document rejected: {exc}") from exc
@@ -301,7 +301,7 @@ class PortalServer:
                 self.stats["rejected"] += 1
                 raise PortalError(f"submission rejected: {exc}") from exc
             entries = self._accept_submission(data, manifest=manifest,
-                                              chunks=all_chunks)
+                                              chunks=fetched)
             self.stats["delta_submissions"] += 1
             return entries
 
@@ -311,15 +311,15 @@ class PortalServer:
                            ) -> list[PoolEntry]:
         """Shared verify → TFC → merge → store → notify path.
 
-        *data* is always the **full** canonical serialization — by the
-        time a delta submission reaches this point it has been
-        reassembled and digest-checked, so both entry points run the
-        same checks over the same bytes.  A delta submission also
-        passes its (digest-checked) *manifest*/*chunks* so the parsed
-        document's canonical memo starts warm: the TFC-finalise, merge
-        and re-store steps then re-serialize only the new CER instead
-        of the whole history.  Verification never reads the memo, so
-        this changes no accept/reject decision.
+        *data* is always the **full** serialization — by the time a
+        delta submission reaches this point it has been reassembled and
+        digest-checked, so both entry points run the same checks over
+        the same bytes.  A delta submission also passes its *manifest*
+        and the (canonical) *chunks* the store already held, which warm
+        the parsed document's canonical memo for the stored history; the
+        TFC's verification records the rest, so later steps re-serialize
+        only new CERs.  Verification never reads the memo, and what is
+        stored is canonical whatever bytes the client shipped.
         """
         document = Dra4wfmsDocument.from_bytes(data)
         if manifest is not None and chunks is not None:
@@ -339,18 +339,22 @@ class PortalServer:
                 f"submission rejected (cloud deployment runs the advanced "
                 f"operational model): {exc}"
             ) from exc
-        except Exception as exc:
+        except ReproError as exc:
             self.stats["rejected"] += 1
             raise PortalError(f"submission rejected: {exc}") from exc
 
         finalized = tfc_result.document
-        # Merge with the pool copy so concurrent AND-split branches
-        # accumulate in one document.
-        stored = self.pool.latest(document.process_id)
-        merged = stored.merge(finalized)
+        stored = self.pool.latest_bytes(document.process_id)
+        if grows_by_append(stored, finalized.to_bytes()):
+            merged, definition = finalized, tfc_result.definition
+        else:
+            # A concurrent AND-split branch: merge with the pool copy so
+            # the branches accumulate in one document, whose amendments
+            # may include some this branch lacks.
+            merged = Dra4wfmsDocument.from_bytes(stored).merge(finalized)
+            definition = self._definition_of(merged)
         self.pool.store(merged)
 
-        definition = self._definition_of(merged)
         self.pool.remove_todo(
             definition.activity(tfc_result.activity_id).participant,
             merged.process_id, tfc_result.activity_id,

@@ -37,7 +37,6 @@ from ..document.amendments import (
     Amendment,
     amendment_cers,
     check_authorized,
-    effective_definition,
     make_amendment_cer,
 )
 from ..document.builder import make_intermediate_cer, make_standard_cer
@@ -202,11 +201,7 @@ class ActivityExecutionAgent:
             definition_reader=(self.identity, self.keypair.private_key),
             cache=self.verify_cache,
         )
-        definition = effective_definition(
-            document, self.identity, self.keypair.private_key, self.backend
-        ) if document.definition_is_encrypted else effective_definition(
-            document, backend=self.backend
-        )
+        definition = report.definition
 
         activity = definition.activity(activity_id)
         if activity.participant != self.identity:
@@ -321,18 +316,11 @@ class ActivityExecutionAgent:
         it onwards like any other copy.
         """
         document = self._materialize(data)
-        verify_document(
+        current = verify_document(
             document, self.directory, self.backend,
             definition_reader=(self.identity, self.keypair.private_key),
             cache=self.verify_cache,
-        )
-        current = effective_definition(
-            document,
-            self.identity if document.definition_is_encrypted else None,
-            self.keypair.private_key if document.definition_is_encrypted
-            else None,
-            self.backend,
-        )
+        ).definition
         check_authorized(amendment, self.identity, current)
 
         new_document = document.clone_for_append()

@@ -14,7 +14,7 @@ from ..crypto.pure.rsa import RsaPrivateKey
 from ..document.builder import INTERMEDIATE_BUNDLE_FIELD
 from ..document.document import Dra4wfmsDocument
 from ..document.sections import KIND_STANDARD, KIND_TFC
-from ..errors import XmlEncryptionError
+from ..errors import DocumentFormatError, XmlEncryptionError
 from ..model.definition import WorkflowDefinition
 
 __all__ = ["VariableView", "ExecutionStatus", "execution_status"]
@@ -65,7 +65,11 @@ class VariableView:
         return dict(self._raw)
 
     def typed(self, definition: WorkflowDefinition) -> dict[str, Value]:
-        """Convert values using the declared field types (for guards)."""
+        """Convert values using the declared field types (for guards).
+
+        A value that does not parse as its declared ``int`` or ``float``
+        raises :class:`~repro.errors.DocumentFormatError`.
+        """
         types: dict[str, str] = {}
         for activity in definition.activities.values():
             for spec in activity.responses:
@@ -73,10 +77,13 @@ class VariableView:
         out: dict[str, Value] = {}
         for name, text in self._raw.items():
             ftype = types.get(name, "string")
-            if ftype == "int":
-                out[name] = int(text)
-            elif ftype == "float":
-                out[name] = float(text)
+            if ftype in ("int", "float"):
+                try:
+                    out[name] = int(text) if ftype == "int" else float(text)
+                except ValueError as exc:
+                    raise DocumentFormatError(
+                        f"field {name!r} holds {text!r}, not a {ftype}"
+                    ) from exc
             elif ftype == "bool":
                 out[name] = text.strip().lower() in ("1", "true", "yes")
             else:

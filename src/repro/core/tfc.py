@@ -74,6 +74,9 @@ class TfcResult:
     verify_seconds: float
     #: Re-encryption + signature time (Table 2's γ).
     sign_seconds: float
+    #: :attr:`VerificationReport.definition` of the submission, which
+    #: the portal updates TO-DO lists with.
+    definition: WorkflowDefinition
 
 
 class TfcServer:
@@ -158,14 +161,7 @@ class TfcServer:
                 cache=self.verify_cache,
                 workers=self.verify_workers,
             )
-            from ..document.amendments import effective_definition
-
-            definition: WorkflowDefinition = effective_definition(
-                document, self.identity, self.keypair.private_key,
-                self.backend
-            ) if document.definition_is_encrypted else effective_definition(
-                document, backend=self.backend
-            )
+            definition = report.definition
 
             pending = document.pending_intermediate()
             if not pending:
@@ -238,6 +234,7 @@ class TfcServer:
             timestamp=timestamp,
             verify_seconds=verify_seconds,
             sign_seconds=sign_seconds,
+            definition=definition,
         )
 
     # -- monitoring ------------------------------------------------------------

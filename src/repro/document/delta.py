@@ -358,13 +358,17 @@ def _boundary_nodes(root, boundary_tag):
 
 def seed_chunks(document: Dra4wfmsDocument, manifest: Manifest,
                 chunks) -> None:
-    """Warm *document*'s canonical memo from already-verified chunks.
+    """Warm *document*'s canonical memo from canonical chunks.
 
     *document* must have been parsed from the byte concatenation the
     *manifest* describes (i.e. the output of :func:`assemble`, which
-    checked every chunk digest and the whole-document digest).  Each CER
-    chunk is then **exactly** the canonical serialization of the
-    corresponding parsed CER subtree — round-trip stability
+    checked every chunk digest and the whole-document digest), and
+    *chunks* may hold only chunks known to be **canonical**: those the
+    pool's chunk store holds, or that this side serialized itself.  A
+    digest proves only which bytes arrived, and a client can ship a
+    CER in a non-canonical form of the same infoset.  A canonical CER
+    chunk is exactly the canonical serialization of the parsed CER
+    subtree — round-trip stability
     (``canonicalize(parse(canonicalize(e))) == canonicalize(e)``)
     guarantees it — so the memo can be pre-loaded with the chunk string,
     its encoded bytes, and its content digest at zero serialization

@@ -34,12 +34,29 @@ from .sections import (
     WFDEF_TAG,
 )
 
-__all__ = ["Dra4wfmsDocument", "new_process_id"]
+__all__ = ["Dra4wfmsDocument", "grows_by_append", "new_process_id"]
+
+#: How every canonical document ends: the results section is the root's
+#: last child, so a hop's new CERs go right before these bytes.
+_CLOSING = f"</{RESULTS_TAG}></{DOC_TAG}>".encode("utf-8")
 
 
 def new_process_id() -> str:
     """Fresh globally-unique process id (replay-attack resistance, §2.1)."""
     return uuid.uuid4().hex
+
+
+def grows_by_append(stored: bytes, data: bytes) -> bool:
+    """True when canonical *data* only appends to canonical *stored*.
+
+    That is the case when *stored* minus its closing tags is a byte
+    prefix of *data*: *data* then holds every element of *stored*,
+    byte-identical and in place, and adds content only at the end of
+    the results section.  It has lost no CER of *stored* and needs no
+    merge with it.
+    """
+    return (stored.endswith(_CLOSING)
+            and data.startswith(memoryview(stored)[:-len(_CLOSING)]))
 
 
 class Dra4wfmsDocument:

@@ -47,13 +47,17 @@ from dataclasses import dataclass
 
 from ..crypto.pure.rsa import RsaPublicKey
 from ..errors import ReproError
-from ..xmlsec.canonical import canonicalize
+from ..xmlsec.digest import pass_digest
 
 __all__ = ["CacheStats", "VerificationCache"]
 
 #: Domain separator, bumped whenever the key derivation changes so stale
 #: persisted keys can never alias a newer scheme.
 _KEY_VERSION = b"repro.vcache.v1\x00"
+
+
+def _sha256(data: bytes) -> bytes:
+    return hashlib.sha256(data).digest()
 
 
 def _sized(chunk: bytes) -> bytes:
@@ -125,28 +129,18 @@ class VerificationCache:
         verification path, which rejects them with a precise error.
 
         *digests* is an optional per-verification memo (element identity
-        → canonical digest): within one document, predecessor signatures
-        are referenced by every successor in the cascade, so memoising
-        keeps each element's canonicalization to one per verify pass.
-        The memo must never outlive the element tree it indexes.
+        → canonical digest, see :func:`~repro.xmlsec.digest.pass_digest`):
+        within one document, predecessor signatures are referenced by
+        every successor in the cascade, so memoising keeps each
+        element's canonicalization to one per verify pass.
         """
-
-        def element_digest(element: ET.Element) -> bytes:
-            if digests is not None:
-                cached = digests.get(id(element))
-                if cached is not None:
-                    return cached
-            digest = hashlib.sha256(canonicalize(element)).digest()
-            if digests is not None:
-                digests[id(element)] = digest
-            return digest
-
         hasher = hashlib.sha256(_KEY_VERSION)
         n = public_key.n
         hasher.update(_sized(n.to_bytes((n.bit_length() + 7) // 8, "big")))
         hasher.update(_sized(public_key.e.to_bytes(8, "big")))
         try:
-            hasher.update(_sized(element_digest(signature.element)))
+            hasher.update(_sized(pass_digest(signature.element, digests,
+                                              _sha256)))
             referenced = signature.referenced_ids
         except ReproError:
             return None
@@ -155,7 +149,7 @@ class VerificationCache:
             if target is None:
                 return None
             try:
-                hasher.update(element_digest(target))
+                hasher.update(pass_digest(target, digests, _sha256))
             except ReproError:
                 return None
         return hasher.digest()

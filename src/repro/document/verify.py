@@ -40,6 +40,7 @@ from ..errors import (
     XmlSignatureError,
 )
 from ..model.definition import WorkflowDefinition
+from ..xmlsec.digest import PassDigests
 from ..xmlsec.xmldsig import ID_ATTR, XmlSignature, index_by_id
 from .cer import CER, KIND_AMENDMENT
 from .document import Dra4wfmsDocument
@@ -79,6 +80,11 @@ class VerificationReport:
     cache_hits: int = field(default=0, compare=False)
     #: Signature checks that needed fresh RSA work despite a cache.
     cache_misses: int = field(default=0, compare=False)
+    #: The definition step 5 checked against, amendments replayed and
+    #: authorised, so the receiver need not parse it again; ``None``
+    #: when it was encrypted and no reader was given.
+    definition: WorkflowDefinition | None = field(
+        default=None, compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return True
@@ -104,10 +110,10 @@ class _SignatureChecker:
     the expensive cryptographic step is cached or parallelised.
     """
 
-    def __init__(self, root, backend: CryptoBackend,
+    def __init__(self, document: Dra4wfmsDocument, backend: CryptoBackend,
                  id_index, cache: VerificationCache | None,
                  report: VerificationReport) -> None:
-        self.root = root
+        self.root = document.root
         self.backend = backend
         self.id_index = id_index
         self.cache = cache
@@ -116,7 +122,8 @@ class _SignatureChecker:
         self._memo: dict[str, tuple[str, XmlSignatureError | None]] = {}
         #: element identity → canonical digest, scoped to this pass
         #: (predecessor signatures are referenced by every successor).
-        self._digests: dict[int, bytes] = {}
+        #: Records each digested element's text on the document's memo.
+        self._digests = PassDigests(document._memo)
 
     def prefetch(self, pairs: list[tuple[XmlSignature, RsaPublicKey]],
                  workers: int | None) -> None:
@@ -260,8 +267,7 @@ def verify_document(
         id_index = index_by_id(document.root)
     except XmlSignatureError as exc:
         raise TamperDetected(str(exc)) from exc
-    checker = _SignatureChecker(document.root, backend, id_index, cache,
-                                report)
+    checker = _SignatureChecker(document, backend, id_index, cache, report)
     if workers is not None and workers > 1:
         # Pre-verify every resolvable signature in one batch; outcomes
         # surface below at the same point serial verification would
@@ -505,6 +511,7 @@ def verify_document(
                         f"TFC CER {cer.cer_id!r} signed by unexpected "
                         f"identity {cer.participant!r}"
                     )
+        report.definition = current
 
     # (6) timestamp monotonicity along the cascade
     ts_by_id: dict[str, float] = {}

@@ -133,7 +133,10 @@ class CanonicalMemo:
 
     The memo is a pure producer-side optimisation: verification never
     consults it, so no cache state can influence what a verifier
-    accepts (the acceptance bar of ``docs/ROUTING.md``).
+    accepts (the acceptance bar of ``docs/ROUTING.md``).  It only
+    *writes* the text of every element it digests
+    (:class:`~repro.xmlsec.digest.PassDigests`), for the receiver's next
+    serialization.  Every entry must be canonical and current.
     """
 
     __slots__ = ("_entries", "_chunks", "hits", "misses")

@@ -5,12 +5,13 @@ from __future__ import annotations
 import base64
 import binascii
 import xml.etree.ElementTree as ET
+from typing import Callable
 
 from ..crypto.backend import CryptoBackend, default_backend
 from ..errors import XmlSecError
-from .canonical import canonicalize
+from .canonical import CanonicalMemo, canonicalize
 
-__all__ = ["digest_element", "b64", "unb64"]
+__all__ = ["PassDigests", "digest_element", "pass_digest", "b64", "unb64"]
 
 
 def digest_element(element: ET.Element,
@@ -18,6 +19,38 @@ def digest_element(element: ET.Element,
     """SHA-256 digest of the canonical form of *element*."""
     backend = backend or default_backend()
     return backend.digest(canonicalize(element))
+
+
+class PassDigests(dict):
+    """A pass memo (see :func:`pass_digest`) that records text.
+
+    It stores the canonical text of every element it digests on
+    *record*, the verified tree's own :class:`CanonicalMemo`, for the
+    tree's later serialization.  It never reads *record*: every digest
+    comes from a fresh :func:`canonicalize` of the current tree.
+    """
+
+    def __init__(self, record: CanonicalMemo) -> None:
+        super().__init__()
+        self.record = record
+
+
+def pass_digest(element: ET.Element, digests: dict[int, bytes] | None,
+                hash_bytes: Callable[[bytes], bytes]) -> bytes:
+    """*hash_bytes* of *element*'s canonical form, once per pass.
+
+    *digests* maps ``id(element)`` to a digest already computed in this
+    pass over a *static* tree, so it must never outlive the tree.
+    """
+    if digests is None:
+        return hash_bytes(canonicalize(element))
+    digest = digests.get(id(element))
+    if digest is None:
+        data = canonicalize(element)
+        digest = digests[id(element)] = hash_bytes(data)
+        if isinstance(digests, PassDigests):
+            digests.record.store(element, data.decode("utf-8"))
+    return digest
 
 
 def b64(data: bytes) -> str:

@@ -31,7 +31,7 @@ from ..crypto.backend import CryptoBackend, default_backend
 from ..crypto.pure.rsa import RsaPrivateKey, RsaPublicKey
 from ..errors import XmlSignatureError
 from .canonical import canonicalize
-from .digest import b64, digest_element, unb64
+from .digest import b64, digest_element, pass_digest, unb64
 
 __all__ = ["Reference", "XmlSignature", "sign_references", "find_by_id",
            "index_by_id", "ALG_PKCS1V15", "ALG_PSS"]
@@ -179,7 +179,9 @@ class XmlSignature:
         digests O(n) times; a memo scoped to a single pass over a
         *static* tree (the verifier never mutates it) makes that O(n)
         canonicalizations total without weakening any check — a wrong
-        cached digest still fails the comparison below.
+        cached digest still fails the comparison below.  A
+        :class:`~repro.xmlsec.digest.PassDigests` memo also records the
+        canonical text of what it digests.
         """
         backend = backend or default_backend()
         index = id_index if id_index is not None else index_by_id(root)
@@ -189,13 +191,7 @@ class XmlSignature:
                 raise XmlSignatureError(
                     f"referenced element {ref.target_id!r} not found"
                 )
-            if digest_memo is None:
-                actual = digest_element(target, backend)
-            else:
-                actual = digest_memo.get(id(target))
-                if actual is None:
-                    actual = digest_element(target, backend)
-                    digest_memo[id(target)] = actual
+            actual = pass_digest(target, digest_memo, backend.digest)
             if actual != ref.digest:
                 raise XmlSignatureError(
                     f"digest mismatch for element {ref.target_id!r} "
