@@ -1,24 +1,31 @@
-"""Canonicalization micro-benchmarks: escaping and the canonical memo.
+"""Canonicalization micro-benchmarks: escaping, the memo, the kernel.
 
-Two hot-path optimisations behind delta routing get their numbers here:
+Three hot-path optimisations get their numbers here:
 
 * **single-pass escaping** — ``str.translate`` with a precomputed table
   versus the naive chain of ``str.replace`` calls (one pass per
-  entity); and
+  entity);
 * **canonical-bytes memoization** — re-serializing a grown document
   when every untouched CER subtree is served from the memo versus
-  serializing from scratch.
+  serializing from scratch; and
+* **the kernel** — the production serializer (one scan per string,
+  accepted names remembered) versus the reference kernel of
+  ``tests/xmlsec/c14n_reference.py``, over every element a
+  verification pass canonicalizes.
 
-Both are correctness-equivalent by test (tests/xmlsec/test_canonical.py)
-— this file only measures.
+All are correctness-equivalent by test (tests/xmlsec/test_canonical.py,
+tests/xmlsec/test_canonical_kernel.py) — this file only measures, and
+bounds no timing: CI hosts are shared.  Run it with ``python -m
+pytest`` from the repository root, which puts ``tests`` on the path.
 """
 
 from __future__ import annotations
 
 import time
 
-from conftest import emit_table, run_fig9a
+from conftest import emit_table, run_fig9a, run_fig9b
 from repro.xmlsec.canonical import CanonicalMemo, canonicalize
+from repro.xmlsec.xmldsig import XmlSignature, index_by_id
 
 ROUNDS = 200
 
@@ -84,5 +91,49 @@ def test_memoized_canonicalization(world, fig9a, backend):
         [
             ["cold (no memo)", f"{cold * 1e6:.1f}", "1.00x"],
             ["warm memo", f"{warm * 1e6:.1f}", f"{cold / warm:.2f}x"],
+        ],
+    )
+
+
+def _pass_elements(root) -> list:
+    """Every element one cache-backed verification pass canonicalizes:
+    each Signature (cache key) and its SignedInfo (RSA message), and
+    each referenced element once (the pass memoises digests)."""
+    index = index_by_id(root)
+    elements, digested = [], set()
+    for node in root.iter("Signature"):
+        signature = XmlSignature(node)
+        targets = [node] + [index[ref.target_id]
+                            for ref in signature.references]
+        elements.append(node.find("SignedInfo"))
+        for target in targets:
+            if id(target) not in digested:
+                digested.add(id(target))
+                elements.append(target)
+    return elements
+
+
+def test_kernel_against_reference(world, fig9b, backend):
+    from tests.xmlsec.c14n_reference import reference_canonicalize
+
+    _, trace, _ = run_fig9b(world, fig9b, backend)
+    elements = _pass_elements(trace.final_document.root)
+    assert [canonicalize(e) for e in elements] == \
+        [reference_canonicalize(e) for e in elements]
+
+    reference = min(_time(lambda: [reference_canonicalize(e)
+                                   for e in elements], 50)
+                    for _ in range(5))
+    kernel = min(_time(lambda: [canonicalize(e) for e in elements], 50)
+                 for _ in range(5))
+    emit_table(
+        "canonical_kernel",
+        f"Canonicalizing the {len(elements)} elements one verification "
+        f"pass canonicalizes in the final Fig. 9B document",
+        ["kernel", "µs/pass", "time vs reference"],
+        [
+            ["reference", f"{reference * 1e6:.1f}", "1.00x"],
+            ["production", f"{kernel * 1e6:.1f}",
+             f"{kernel / reference:.2f}x"],
         ],
     )

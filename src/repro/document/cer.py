@@ -156,10 +156,6 @@ class CER:
         """Id of this CER's signature element (cascade reference target)."""
         return self.signature.signature_id
 
-    def signed_ids(self) -> list[str]:
-        """Ids of every element this CER's signature covers."""
-        return self.signature.referenced_ids
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"CER({self.activity_id}^{self.iteration} kind={self.kind} "
                 f"by {self.participant})")

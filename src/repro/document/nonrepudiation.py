@@ -20,6 +20,7 @@ from __future__ import annotations
 from .cer import CER
 from .document import Dra4wfmsDocument
 from ..errors import DocumentFormatError
+from ..xmlsec.xmldsig import pass_referenced_ids
 
 __all__ = [
     "signature_owner_map",
@@ -43,18 +44,20 @@ def signature_owner_map(document: Dra4wfmsDocument) -> dict[str, CER]:
     return owners
 
 
-def signs_relation(document: Dra4wfmsDocument) -> dict[str, set[str]]:
+def signs_relation(document: Dra4wfmsDocument,
+                   memo: dict | None = None) -> dict[str, set[str]]:
     """The direct "signs" relation between CERs.
 
     Maps each CER id to the ids of the CERs whose *signatures* it
     signs.  References to non-signature elements (the CER's own result,
-    timestamp, header…) are not part of the relation.
+    timestamp, header…) are not part of the relation.  *memo*: see
+    :func:`~repro.xmlsec.xmldsig.pass_references`.
     """
     owners = signature_owner_map(document)
     relation: dict[str, set[str]] = {}
     for cer in document.cers():
         signed: set[str] = set()
-        for ref_id in cer.signed_ids():
+        for ref_id in pass_referenced_ids(cer.signature, memo):
             owner = owners.get(ref_id)
             if owner is not None and owner.cer_id != cer.cer_id:
                 signed.add(owner.cer_id)
@@ -98,38 +101,41 @@ def nonrepudiation_scope_ids(document: Dra4wfmsDocument,
     return {cer.cer_id for cer in nonrepudiation_scope(document, alpha)}
 
 
-def all_scopes(document: Dra4wfmsDocument) -> dict[str, set[str]]:
+def all_scopes(document: Dra4wfmsDocument,
+               memo: dict | None = None) -> dict[str, set[str]]:
     """Nonrepudiation scopes of **every** CER in one pass.
 
     Computing Algorithm 1 independently per CER re-parses the signs
     relation n times (O(n²) XML walks — measurable on long chains, see
     ``benchmarks/test_verify_scaling.py``).  The relation is a DAG
     (each signature covers only previously-embedded signatures), so all
-    closures follow from one relation extraction plus memoised DFS.
+    closures follow from one relation extraction plus memoised DFS,
+    which on a malicious cycle falls back to a self-only scope instead
+    of recursing forever (verification rejects such a document).
     """
-    relation = signs_relation(document)
+    relation = signs_relation(document, memo)
     scopes: dict[str, set[str]] = {}
-
-    def closure(cer_id: str, stack: set[str]) -> set[str]:
-        cached = scopes.get(cer_id)
-        if cached is not None:
-            return cached
-        if cer_id in stack:
-            # A cycle is impossible for honestly-built documents; fall
-            # back to self-only rather than recursing forever on a
-            # malicious one (verification rejects it elsewhere).
-            return {cer_id}
-        stack.add(cer_id)
-        gamma = {cer_id}
-        for signed_id in relation.get(cer_id, ()):
-            gamma |= closure(signed_id, stack)
-        stack.discard(cer_id)
-        scopes[cer_id] = gamma
-        return gamma
-
     for cer_id in relation:
-        closure(cer_id, set())
+        _closure(cer_id, relation, scopes, set())
     return scopes
+
+
+def _closure(cer_id: str, relation: dict[str, set[str]],
+             scopes: dict[str, set[str]], stack: set[str]) -> set[str]:
+    # Module-level, not nested: a recursive closure is a reference
+    # cycle that keeps every scope alive until the collector runs.
+    cached = scopes.get(cer_id)
+    if cached is not None:
+        return cached
+    if cer_id in stack:
+        return {cer_id}
+    stack.add(cer_id)
+    gamma = {cer_id}
+    for signed_id in relation.get(cer_id, ()):
+        gamma |= _closure(signed_id, relation, scopes, stack)
+    stack.discard(cer_id)
+    scopes[cer_id] = gamma
+    return gamma
 
 
 def frontier_cers(document: Dra4wfmsDocument) -> list[CER]:

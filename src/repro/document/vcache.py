@@ -48,6 +48,7 @@ from dataclasses import dataclass
 from ..crypto.pure.rsa import RsaPublicKey
 from ..errors import ReproError
 from ..xmlsec.digest import pass_digest
+from ..xmlsec.xmldsig import pass_referenced_ids
 
 __all__ = ["CacheStats", "VerificationCache"]
 
@@ -132,7 +133,9 @@ class VerificationCache:
         → canonical digest, see :func:`~repro.xmlsec.digest.pass_digest`):
         within one document, predecessor signatures are referenced by
         every successor in the cascade, so memoising keeps each
-        element's canonicalization to one per verify pass.
+        element's canonicalization to one per verify pass.  A
+        :class:`~repro.xmlsec.digest.PassDigests` also shares the pass's
+        one parse of the signature's references.
         """
         hasher = hashlib.sha256(_KEY_VERSION)
         n = public_key.n
@@ -141,7 +144,7 @@ class VerificationCache:
         try:
             hasher.update(_sized(pass_digest(signature.element, digests,
                                               _sha256)))
-            referenced = signature.referenced_ids
+            referenced = pass_referenced_ids(signature, digests)
         except ReproError:
             return None
         for ref_id in referenced:

@@ -18,14 +18,16 @@ an auditor resolving a repudiation dispute — runs offline:
    are signed by the TFC the policy expects.
 6. **Timestamps** are monotone along the cascade.
 
-Any failure raises :class:`~repro.errors.TamperDetected` (for
-cryptographic mismatches) or :class:`~repro.errors.VerificationError`
-(for structural violations); success returns a
-:class:`VerificationReport`.
+Every rejection raises :class:`~repro.errors.VerificationError`, as
+its subclass :class:`~repro.errors.TamperDetected` for cryptographic
+mismatches; any other :class:`~repro.errors.ReproError` (a malformed
+structure a lower layer reports) is re-raised as one with the same
+message.  Success returns a :class:`VerificationReport`.
 """
 
 from __future__ import annotations
 
+import functools
 from contextlib import suppress
 from dataclasses import dataclass, field
 
@@ -41,7 +43,8 @@ from ..errors import (
 )
 from ..model.definition import WorkflowDefinition
 from ..xmlsec.digest import PassDigests
-from ..xmlsec.xmldsig import ID_ATTR, XmlSignature, index_by_id
+from ..xmlsec.xmldsig import (ID_ATTR, XmlSignature, index_by_id,
+                              pass_referenced_ids)
 from .cer import CER, KIND_AMENDMENT
 from .document import Dra4wfmsDocument
 from .nonrepudiation import all_scopes, signature_owner_map
@@ -122,8 +125,9 @@ class _SignatureChecker:
         self._memo: dict[str, tuple[str, XmlSignatureError | None]] = {}
         #: element identity → canonical digest, scoped to this pass
         #: (predecessor signatures are referenced by every successor).
-        #: Records each digested element's text on the document's memo.
-        self._digests = PassDigests(document._memo)
+        #: Records each digested element's text on the document's memo
+        #: and holds each signature's one parse of its references.
+        self.digests = PassDigests(document._memo)
 
     def prefetch(self, pairs: list[tuple[XmlSignature, RsaPublicKey]],
                  workers: int | None) -> None:
@@ -149,14 +153,14 @@ class _SignatureChecker:
             key = None
             if self.cache is not None:
                 key = self.cache.key_for(signature, public_key,
-                                         self.id_index, self._digests)
+                                         self.id_index, self.digests)
                 if key is not None and self.cache.seen(key):
                     self._memo[sid] = ("hit", None)
                     continue
             try:
                 message, sig_value, mode = signature.prepare_verify(
                     self.root, self.backend, self.id_index,
-                    digest_memo=self._digests,
+                    digest_memo=self.digests,
                 )
             except XmlSignatureError as exc:
                 self._memo[sid] = ("fresh", exc)
@@ -200,12 +204,12 @@ class _SignatureChecker:
         key = None
         if self.cache is not None:
             key = self.cache.key_for(signature, public_key,
-                                     self.id_index, self._digests)
+                                     self.id_index, self.digests)
             if key is not None and self.cache.seen(key):
                 return ("hit", None)
         try:
             signature.verify(public_key, self.root, self.backend,
-                             self.id_index, digest_memo=self._digests)
+                             self.id_index, digest_memo=self.digests)
         except XmlSignatureError as exc:
             return ("fresh", exc)
         if key is not None:
@@ -213,6 +217,21 @@ class _SignatureChecker:
         return ("fresh", None)
 
 
+def _rejecting(verify):
+    """*verify*, re-raising any other :class:`ReproError` as a
+    :class:`VerificationError` (same message, the original as cause)."""
+    @functools.wraps(verify)
+    def wrapper(*args, **kwargs):
+        try:
+            return verify(*args, **kwargs)
+        except VerificationError:
+            raise
+        except ReproError as exc:
+            raise VerificationError(str(exc)) from exc
+    return wrapper
+
+
+@_rejecting
 def verify_document(
     document: Dra4wfmsDocument,
     directory: KeyDirectory,
@@ -224,6 +243,9 @@ def verify_document(
     workers: int | None = None,
 ) -> VerificationReport:
     """Verify *document* end to end.
+
+    Every rejection is a :class:`~repro.errors.VerificationError`, a
+    :class:`~repro.errors.TamperDetected` for a cryptographic mismatch.
 
     Parameters
     ----------
@@ -297,7 +319,7 @@ def verify_document(
         raise VerificationError(
             "definition CER participant does not match its signature's KeyName"
         )
-    referenced = set(designer_sig.referenced_ids)
+    referenced = set(pass_referenced_ids(designer_sig, checker.digests))
     if not {WFDEF_ID, HEADER_ID} <= referenced:
         raise VerificationError(
             "designer signature must cover the definition section and the "
@@ -328,7 +350,7 @@ def verify_document(
     def_scope_target = def_cer.cer_id
     # One-pass Algorithm 1 over the whole document (used by the cascade
     # binding check and timestamp monotonicity below).
-    scopes = all_scopes(document)
+    scopes = all_scopes(document, checker.digests)
 
     # (3)+(4) per-CER checks
     _CER_ATTRIBUTES = {"Id", "Kind", "Activity", "Iteration",
@@ -395,7 +417,7 @@ def verify_document(
                 f"(expected {expected_sig_id!r})"
             )
 
-        referenced = signature.referenced_ids
+        referenced = pass_referenced_ids(signature, checker.digests)
         if cer.kind == KIND_AMENDMENT:
             spec = cer.element.find("AmendmentSpec")
             if spec is None:

@@ -60,15 +60,19 @@ _INVALID_XML_CHAR = re.compile(
 # Conservative XML Name subset for tags and attribute names.
 _XML_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9._\-]*$")
 
-# Single-pass escaping: one compiled-regex scan decides whether a
-# string needs escaping at all.  Document text is dominated by base64
-# signature/ciphertext blobs that contain no escapable characters, so
-# the common case is a single C-level scan returning the string
-# untouched — measurably faster than chaining str.replace passes (see
-# benchmarks/test_canonical.py).  Only strings that do contain an
-# escapable character pay for the translate.
-_TEXT_NEEDS_ESCAPE = re.compile("[&<>\r]")
-_ATTR_NEEDS_ESCAPE = re.compile("[&<>\"\t\n\r]")
+# Names that matched _XML_NAME (documents use a few dozen): a bounded
+# cache of the name check that never holds a rejected name.
+_NAMES: set[str] = set()
+_NAMES_MAX = 4096
+
+# One C-level scan per string finds any character that is invalid in
+# XML or must be escaped.  Document text is dominated by base64 blobs
+# that contain neither, so the common case returns the string as is;
+# only a match pays for the validity check and the translate.
+_TEXT_SPECIAL = re.compile("[^\t\n\x20-\x25\x27-\x3b\x3d\x3f-\ud7ff"
+                           "\ue000-\ufffd\U00010000-\U0010FFFF]").search
+_ATTR_SPECIAL = re.compile("[^\x20\x21\x23-\x25\x27-\x3b\x3d\x3f-\ud7ff"
+                           "\ue000-\ufffd\U00010000-\U0010FFFF]").search
 _TEXT_ESCAPES = {
     ord("&"): "&amp;",
     ord("<"): "&lt;",
@@ -104,18 +108,49 @@ def _check_chars(text: str, where: str) -> None:
         )
 
 
+def _check_name(name: str, kind: str) -> None:
+    if not _XML_NAME.match(name):
+        raise CanonicalizationError(f"invalid {kind} name {name!r}")
+    if len(_NAMES) < _NAMES_MAX:
+        _NAMES.add(name)
+
+
 def _escape_text(text: str) -> str:
-    _check_chars(text, "text content")
-    if _TEXT_NEEDS_ESCAPE.search(text) is None:
+    if _TEXT_SPECIAL(text) is None:
         return text
+    _check_chars(text, "text content")
     return text.translate(_TEXT_ESCAPES)
 
 
 def _escape_attr(value: str) -> str:
-    _check_chars(value, "attribute value")
-    if _ATTR_NEEDS_ESCAPE.search(value) is None:
+    if _ATTR_SPECIAL(value) is None:
         return value
+    _check_chars(value, "attribute value")
     return value.translate(_ATTR_ESCAPES)
+
+
+def _start_tag(element: ET.Element) -> str:
+    """``<tag a="v" …>`` of *element*: names checked, values escaped."""
+    tag = element.tag
+    if tag not in _NAMES:
+        _check_name(tag, "element")
+    # items(), never .attrib: on the C ElementTree, reading .attrib
+    # creates (and keeps) a dict on every attribute-less element.
+    items = element.items()
+    if not items:
+        return f"<{tag}>"
+    if len(items) > 1:
+        items = sorted(items)
+    start = f"<{tag}"
+    for name, value in items:
+        if name not in _NAMES:
+            _check_name(name, "attribute")
+        if not value:
+            value = ""
+        elif _ATTR_SPECIAL(value) is not None:
+            value = _escape_attr(value)
+        start += f' {name}="{value}"'
+    return start + ">"
 
 
 class CanonicalMemo:
@@ -229,48 +264,45 @@ class CanonicalMemo:
 
 
 def _write(element: ET.Element, out: list[str],
-           memo: CanonicalMemo | None = None) -> None:
-    tag = element.tag
-    if not isinstance(tag, str):
+           memo: CanonicalMemo | None) -> None:
+    """Append the canonical text of *element* (a string-tagged element)."""
+    append = out.append
+    append(_start_tag(element))
+    # The scan is inlined (escaping is rare); _escape_text has the rules.
+    text = element.text
+    if text:
+        append(text if _TEXT_SPECIAL(text) is None else _escape_text(text))
+    for child in element:
         # Comment/PI nodes have callable tags in ElementTree; canonical
-        # form excludes them entirely.
-        return
-    if memo is not None:
-        cached = memo.lookup(element)
-        if cached is not None:
-            out.append(cached)
-            return
-    if memo is not None and element.get(_ID_ATTR) is not None:
+        # form excludes them (but not their tails).
+        if isinstance(child.tag, str):
+            if memo is None:
+                _write(child, out, None)
+            else:
+                _write_memo(child, out, memo)
+        tail = child.tail
+        if tail:
+            append(tail if _TEXT_SPECIAL(tail) is None
+                   else _escape_text(tail))
+    append(f"</{element.tag}>")
+
+
+def _write_memo(element: ET.Element, out: list[str],
+                memo: CanonicalMemo) -> None:
+    """:func:`_write` through *memo* (see :func:`canonicalize`)."""
+    cached = memo.lookup(element)
+    if cached is not None:
+        out.append(cached)
+    elif element.get(_ID_ATTR) is not None:
         # Memo-worthy subtree: serialize into its own buffer so the
         # joined chunk can be reused by every later serialization.
         local: list[str] = []
-        _write_direct(element, local, memo)
+        _write(element, local, memo)
         chunk = "".join(local)
         memo.store(element, chunk)
         out.append(chunk)
     else:
-        _write_direct(element, out, memo)
-
-
-def _write_direct(element: ET.Element, out: list[str],
-                  memo: CanonicalMemo | None) -> None:
-    tag = element.tag
-    if not _XML_NAME.match(tag):
-        raise CanonicalizationError(f"invalid element name {tag!r}")
-    out.append(f"<{tag}")
-    for name in sorted(element.keys()):
-        if not _XML_NAME.match(name):
-            raise CanonicalizationError(f"invalid attribute name {name!r}")
-        value = element.get(name)
-        out.append(f' {name}="{_escape_attr(value or "")}"')
-    out.append(">")
-    if element.text:
-        out.append(_escape_text(element.text))
-    for child in element:
-        _write(child, out, memo)
-        if child.tail:
-            out.append(_escape_text(child.tail))
-    out.append(f"</{tag}>")
+        _write(element, out, memo)
 
 
 def canonicalize(element: ET.Element,
@@ -287,19 +319,19 @@ def canonicalize(element: ET.Element,
     """
     if element is None:
         raise CanonicalizationError("cannot canonicalize None")
-    if memo is not None:
-        cached = memo.lookup(element)
-        if cached is not None:
-            return cached.encode("utf-8")
-        out: list[str] = []
-        _write_direct(element, out, memo)
-        chunk = "".join(out)
+    out: list[str] = []
+    if memo is None:
         if isinstance(element.tag, str):
-            memo.store(element, chunk)
-        return chunk.encode("utf-8")
-    out = []
-    _write(element, out)
-    return "".join(out).encode("utf-8")
+            _write(element, out, None)
+        return "".join(out).encode("utf-8")
+    cached = memo.lookup(element)
+    if cached is not None:
+        return cached.encode("utf-8")
+    _write(element, out, memo)
+    chunk = "".join(out)
+    if isinstance(element.tag, str):
+        memo.store(element, chunk)
+    return chunk.encode("utf-8")
 
 
 def canonicalize_boundaries(
@@ -329,52 +361,44 @@ def canonicalize_boundaries(
         raise CanonicalizationError("cannot canonicalize None")
     segments: list[tuple[bool, bytes, ET.Element | None]] = []
     glue: list[str] = []
+    if isinstance(element.tag, str):
+        _split(element, boundary_tag, memo, segments, glue)
+    if glue:
+        segments.append((False, "".join(glue).encode("utf-8"), None))
+    return segments
 
-    def flush() -> None:
+
+def _split(node: ET.Element, boundary_tag: str, memo: CanonicalMemo | None,
+           segments: list[tuple[bool, bytes, ET.Element | None]],
+           glue: list[str]) -> None:
+    """:func:`canonicalize_boundaries` of the string-tagged *node*."""
+    if node.tag == boundary_tag:
         if glue:
             segments.append((False, "".join(glue).encode("utf-8"), None))
             glue.clear()
-
-    def walk(node: ET.Element) -> None:
-        tag = node.tag
-        if not isinstance(tag, str):
-            return
-        if tag == boundary_tag:
-            flush()
-            if memo is not None:
-                cached = memo.chunk_entry(node)
-                if cached is not None:
-                    segments.append((True, cached, node))
-                    return
+        data = memo.chunk_entry(node) if memo is not None else None
+        if data is None:
             local: list[str] = []
-            _write(node, local, memo)
+            if memo is None:
+                _write(node, local, None)
+            else:
+                _write_memo(node, local, memo)
             data = "".join(local).encode("utf-8")
             if memo is not None:
                 memo.store_chunk(node, data)
-            segments.append((True, data, node))
-            return
-        if not _XML_NAME.match(tag):
-            raise CanonicalizationError(f"invalid element name {tag!r}")
-        glue.append(f"<{tag}")
-        for name in sorted(node.keys()):
-            if not _XML_NAME.match(name):
-                raise CanonicalizationError(
-                    f"invalid attribute name {name!r}"
-                )
-            value = node.get(name)
-            glue.append(f' {name}="{_escape_attr(value or "")}"')
-        glue.append(">")
-        if node.text:
-            glue.append(_escape_text(node.text))
-        for child in node:
-            walk(child)
-            if child.tail:
-                glue.append(_escape_text(child.tail))
-        glue.append(f"</{tag}>")
-
-    walk(element)
-    flush()
-    return segments
+        segments.append((True, data, node))
+        return
+    glue.append(_start_tag(node))
+    text = node.text
+    if text:
+        glue.append(_escape_text(text))
+    for child in node:
+        if isinstance(child.tag, str):
+            _split(child, boundary_tag, memo, segments, glue)
+        tail = child.tail
+        if tail:
+            glue.append(_escape_text(tail))
+    glue.append(f"</{node.tag}>")
 
 
 def canonicalize_segments(

@@ -27,12 +27,16 @@ class PassDigests(dict):
     It stores the canonical text of every element it digests on
     *record*, the verified tree's own :class:`CanonicalMemo`, for the
     tree's later serialization.  It never reads *record*: every digest
-    comes from a fresh :func:`canonicalize` of the current tree.
+    comes from a fresh :func:`canonicalize` of the current tree.  It
+    also holds the pass's parse of each signature's references.
     """
 
     def __init__(self, record: CanonicalMemo) -> None:
         super().__init__()
         self.record = record
+        #: id(signature element) → its parsed references (see
+        #: :func:`~repro.xmlsec.xmldsig.pass_references`)
+        self.references: dict[int, list] = {}
 
 
 def pass_digest(element: ET.Element, digests: dict[int, bytes] | None,

@@ -31,10 +31,11 @@ from ..crypto.backend import CryptoBackend, default_backend
 from ..crypto.pure.rsa import RsaPrivateKey, RsaPublicKey
 from ..errors import XmlSignatureError
 from .canonical import canonicalize
-from .digest import b64, digest_element, pass_digest, unb64
+from .digest import PassDigests, b64, digest_element, pass_digest, unb64
 
 __all__ = ["Reference", "XmlSignature", "sign_references", "find_by_id",
-           "index_by_id", "ALG_PKCS1V15", "ALG_PSS"]
+           "index_by_id", "pass_references", "pass_referenced_ids",
+           "ALG_PKCS1V15", "ALG_PSS"]
 
 #: Attribute used for intra-document references.
 ID_ATTR = "Id"
@@ -136,7 +137,8 @@ class XmlSignature:
 
     @property
     def references(self) -> list[Reference]:
-        """All signed references, in document order."""
+        """All signed references, in document order, parsed afresh on
+        every read (a verification pass uses :func:`pass_references`)."""
         signed_info = self.element.find("SignedInfo")
         if signed_info is None:
             raise XmlSignatureError("signature has no SignedInfo")
@@ -185,7 +187,7 @@ class XmlSignature:
         """
         backend = backend or default_backend()
         index = id_index if id_index is not None else index_by_id(root)
-        for ref in self.references:
+        for ref in pass_references(self, digest_memo):
             target = index.get(ref.target_id)
             if target is None:
                 raise XmlSignatureError(
@@ -251,6 +253,26 @@ class XmlSignature:
             raise XmlSignatureError(
                 f"RSA signature of {self.signature_id!r} invalid: {exc}"
             ) from exc
+
+
+def pass_references(signature: XmlSignature,
+                    memo: dict[int, bytes] | None) -> list[Reference]:
+    """:attr:`XmlSignature.references`, parsed once per pass when *memo*
+    is the pass's :class:`~repro.xmlsec.digest.PassDigests` (a static
+    tree).  A parse that raises is not remembered: every reader raises
+    what a fresh parse raises."""
+    if not isinstance(memo, PassDigests):
+        return signature.references
+    refs = memo.references.get(id(signature.element))
+    if refs is None:
+        refs = memo.references[id(signature.element)] = signature.references
+    return refs
+
+
+def pass_referenced_ids(signature: XmlSignature,
+                        memo: dict[int, bytes] | None) -> list[str]:
+    """:attr:`XmlSignature.referenced_ids` through :func:`pass_references`."""
+    return [ref.target_id for ref in pass_references(signature, memo)]
 
 
 def sign_references(signature_id: str,

@@ -9,6 +9,14 @@ replay the *same* attacks and assert that batched RSA verification
 reaches the same verdict, with the same failing-signature attribution,
 as the sequential path.
 
+Besides those attacks, the registry holds malformed structure — a
+signature, reference or CER missing a required part, undecodable
+base64, a non-integer iteration, an element name canonicalization
+rejects — at the definition CER, a middle CER and the last CER of the
+Fig. 9B document.  Lower layers report these with their own
+:class:`~repro.errors.ReproError` subclasses; verification must still
+reject them as a :class:`~repro.errors.VerificationError`.
+
 A case's ``apply(document, donor)`` mutates *document* in place;
 ``donor`` names which pristine sibling document the mutation grafts
 from (``None`` for self-contained mutations):
@@ -242,6 +250,77 @@ def _timestamp_replay(index: int):
     return apply
 
 
+# -- malformed structure (advanced model) ------------------------------------
+
+
+def _structure_cer(document, position: str) -> ET.Element:
+    if position == "def":
+        return document.definition_cer.element
+    cers = document.results_section.findall("CER")
+    return cers[len(cers) // 2] if position == "mid" else cers[-1]
+
+
+def _first_reference(cer: ET.Element) -> ET.Element:
+    return cer.find("Signature/SignedInfo/Reference")
+
+
+def _digest_not_base64(document, cer) -> None:
+    _first_reference(cer).find("DigestValue").text = "not*base64"
+
+
+def _reference_without_uri(document, cer) -> None:
+    _first_reference(cer).attrib.pop("URI")
+
+
+def _uri_without_hash(document, cer) -> None:
+    reference = _first_reference(cer)
+    reference.set("URI", reference.get("URI").lstrip("#"))
+
+
+def _signature_without_signed_info(document, cer) -> None:
+    signature = cer.find("Signature")
+    signature.remove(signature.find("SignedInfo"))
+
+
+def _signature_without_key_name(document, cer) -> None:
+    key_info = cer.find("Signature/KeyInfo")
+    key_info.remove(key_info.find("KeyName"))
+
+
+def _cer_without_signature(document, cer) -> None:
+    cer.remove(cer.find("Signature"))
+
+
+def _non_integer_iteration(document, cer) -> None:
+    cer.set("Iteration", "first")
+
+
+def _non_ascii_signed_element(document, cer) -> None:
+    # Inside the first element the CER's signature covers.
+    target_id = _first_reference(cer).get("URI")[1:]
+    target = next(node for node in document.root.iter()
+                  if node.get("Id") == target_id)
+    ET.SubElement(target, "Résumé")
+
+
+_STRUCTURE_FAULTS = {
+    "digest-not-base64": _digest_not_base64,
+    "reference-without-uri": _reference_without_uri,
+    "uri-without-hash": _uri_without_hash,
+    "signature-without-signedinfo": _signature_without_signed_info,
+    "signature-without-keyname": _signature_without_key_name,
+    "cer-without-signature": _cer_without_signature,
+    "non-integer-iteration": _non_integer_iteration,
+    "non-ascii-signed-element": _non_ascii_signed_element,
+}
+
+
+def _structure_fault(fault, position: str):
+    def apply(document, donor) -> None:
+        fault(document, _structure_cer(document, position))
+    return apply
+
+
 # -- the registry ------------------------------------------------------------
 
 
@@ -278,8 +357,13 @@ def _build_cases() -> list[TamperCase]:
         cases.append(TamperCase(f"timestamp-replay-{index}", "advanced",
                                 "sibling_advanced",
                                 _timestamp_replay(index)))
+    for fault_name, fault in _STRUCTURE_FAULTS.items():
+        for position in ("def", "mid", "last"):
+            cases.append(TamperCase(f"structure-{fault_name}-{position}",
+                                    "advanced", None,
+                                    _structure_fault(fault, position)))
     return cases
 
 
-#: The full adversarial sweep: 96 mutations over two document models.
+#: The full adversarial sweep: 120 mutations over two document models.
 TAMPER_CASES: list[TamperCase] = _build_cases()
