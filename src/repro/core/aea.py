@@ -8,7 +8,9 @@ replaces the workflow engine.  For each received document the AEA:
    definition, valid history);
 2. checks the participant is the designated executor;
 3. decrypts and presents the requested data (here: an
-   :class:`ActivityContext` handed to a responder callable);
+   :class:`ActivityContext` handed to a responder callable); a field
+   this agent decrypted on an earlier hop comes from its decryption
+   memo, so only fields new to it cost RSA;
 4. appends the participant's element-wise-encrypted execution result;
 5. embeds the cascaded digital signature;
 6. evaluates the control flow and reports where to forward the
@@ -47,6 +49,7 @@ from ..document.vcache import VerificationCache
 from ..document.verify import VerificationReport, verify_document
 from ..errors import AuthorizationError, PolicyError, RoutingError, RuntimeFault
 from ..model.definition import WorkflowDefinition
+from ..xmlsec.xmlenc import DecryptionMemo
 from .router import RoutingDecision, cascade_targets, check_join_ready, route_after
 from .state import VariableView
 
@@ -122,6 +125,11 @@ class ActivityExecutionAgent:
         #: decoded document is digest-checked and then verified exactly
         #: like a full transfer.
         self.chunk_cache = ChunkCache()
+        #: What this participant already decrypted: step 3 re-reads every
+        #: earlier field it may read on each hop, but pays RSA only for
+        #: fields it has not decrypted before (see
+        #: :class:`~repro.xmlsec.xmlenc.DecryptionMemo`).
+        self.decryption_memo = DecryptionMemo()
 
     def _materialize(self, data) -> Dra4wfmsDocument:
         """Turn any accepted transfer form into a parsed document."""
@@ -218,7 +226,8 @@ class ActivityExecutionAgent:
 
         iteration = document.execution_count(activity_id)
         view = VariableView.for_reader(
-            document, self.identity, self.keypair.private_key, self.backend
+            document, self.identity, self.keypair.private_key, self.backend,
+            self.decryption_memo,
         )
         requests: dict[str, str] = {}
         for name in activity.requests:

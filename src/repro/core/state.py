@@ -16,6 +16,7 @@ from ..document.document import Dra4wfmsDocument
 from ..document.sections import KIND_STANDARD, KIND_TFC
 from ..errors import DocumentFormatError, XmlEncryptionError
 from ..model.definition import WorkflowDefinition
+from ..xmlsec.xmlenc import DecryptionMemo
 
 __all__ = ["VariableView", "ExecutionStatus", "execution_status"]
 
@@ -37,8 +38,15 @@ class VariableView:
     @classmethod
     def for_reader(cls, document: Dra4wfmsDocument, identity: str,
                    private_key: RsaPrivateKey,
-                   backend: CryptoBackend | None = None) -> "VariableView":
-        """Decrypt everything *identity* may read."""
+                   backend: CryptoBackend | None = None,
+                   memo: DecryptionMemo | None = None) -> "VariableView":
+        """Decrypt everything *identity* may read.
+
+        With *memo* (the reader's own; every AEA and TFC server keeps
+        one), a field decrypted on an earlier hop from exactly the same
+        inputs is not decrypted again, so a hop pays RSA only for the
+        fields added since.  The view is the same with or without it.
+        """
         backend = backend or default_backend()
         raw: dict[str, str] = {}
         for cer in document.cers(include_definition=False):
@@ -50,7 +58,10 @@ class VariableView:
                 if identity not in enc.recipients:
                     continue
                 try:
-                    plaintext = enc.decrypt(identity, private_key, backend)
+                    plaintext = (
+                        enc.decrypt(identity, private_key, backend)
+                        if memo is None else
+                        memo.decrypt(enc, identity, private_key, backend))
                 except XmlEncryptionError:
                     # A reader listed but unable to decrypt means the
                     # document is corrupt; surface during verification,

@@ -9,7 +9,8 @@ authoritative process state; it only
 * **applies the security policy** the participant could not: it decrypts
   the TFC-addressed result bundle, re-encrypts each field for the reader
   set the policy prescribes (resolving conditional clauses with guard
-  variables the participant was not allowed to see — Fig. 4);
+  variables the participant was not allowed to see — Fig. 4; the guard
+  variables it decrypted on earlier hops come from its decryption memo);
 * **forwards** the document according to the control flow; and
 * keeps a record of every processed document so the status of workflow
   executions can be queried (§2.2, monitoring).
@@ -44,6 +45,7 @@ from ..document.vcache import VerificationCache
 from ..document.verify import VerificationReport, verify_document
 from ..errors import RuntimeFault
 from ..model.definition import WorkflowDefinition
+from ..xmlsec.xmlenc import DecryptionMemo
 from .router import RoutingDecision, route_after
 from .state import VariableView
 
@@ -115,6 +117,11 @@ class TfcServer:
         #: enterprise (Fig. 6 shows a TFC per hop); list the federation
         #: here.  Always includes this server itself.
         self.trusted_tfcs = set(trusted_tfcs or ()) | {keypair.identity}
+        #: What this server already decrypted.  Policy re-encryption
+        #: reads every field of the document on each hop; only the new
+        #: result bundle and fields not decrypted before cost RSA (see
+        #: :class:`~repro.xmlsec.xmlenc.DecryptionMemo`).
+        self.decryption_memo = DecryptionMemo()
         #: Monitoring records, in processing order.
         self.records: list[TfcRecord] = []
         #: Copies of every forwarded document (workflow monitoring).
@@ -185,7 +192,7 @@ class TfcServer:
         with self._trace("tfc.sign", "crypto"):
             view = VariableView.for_reader(
                 document, self.identity, self.keypair.private_key,
-                self.backend
+                self.backend, self.decryption_memo,
             ).merged_with(values)
             typed = view.typed(definition)
             activity_id, iteration = cer_it.activity_id, cer_it.iteration

@@ -59,6 +59,18 @@ def grows_by_append(stored: bytes, data: bytes) -> bool:
             and data.startswith(memoryview(stored)[:-len(_CLOSING)]))
 
 
+def _own_copy(element: ET.Element, children: list[ET.Element]) -> ET.Element:
+    """*element* with its own attribute dict, holding *children*.
+
+    Not ``copy.copy``: on the C ElementTree it shares the attribute dict.
+    """
+    copied = element.makeelement(element.tag, dict(element.items()))
+    copied.text = element.text
+    copied.tail = element.tail
+    copied.extend(children)
+    return copied
+
+
 class Dra4wfmsDocument:
     """Typed wrapper around a ``<DRA4WfMSDocument>`` XML tree."""
 
@@ -72,7 +84,7 @@ class Dra4wfmsDocument:
         # surface is append_cer/merge (which invalidate the stale
         # entries); code that mutates ``self.root`` behind the
         # document's back must call drop_canonical_cache() before the
-        # next serialization.
+        # next serialization (and must own the tree: see clone()).
         self._memo = CanonicalMemo()
 
     # -- serialization ---------------------------------------------------------
@@ -118,19 +130,27 @@ class Dra4wfmsDocument:
         return Dra4wfmsDocument(copy.deepcopy(self.root))
 
     def clone_for_append(self) -> "Dra4wfmsDocument":
-        """Deep copy that inherits this document's canonical memo.
+        """Path copy for the hot hop path (execute → append CER → serialize).
 
-        For the hot hop path (execute → append CER → serialize), where
-        the copy is only ever mutated through :meth:`append_cer`/
-        :meth:`merge` — which maintain the memo invalidation contract —
-        a cold memo would force an O(document) re-serialization per hop.
-        ``copy.deepcopy`` preserves tree structure, so the memo is
-        transferred by :meth:`CanonicalMemo.remap` at zero serialization
-        cost.  Code that mutates the copy's tree directly must use
-        :meth:`clone` (or call :meth:`drop_canonical_cache`).
+        The copy gets its own root and results section and shares every
+        other element with this document: the header, the definition CER
+        and every CER.  Its canonical memo is this document's, minus the
+        entries of the two replaced elements.  Copying therefore creates
+        two elements however long the cascade, and the copy serializes
+        byte-identically to a deep copy.
+
+        The contract: after this call neither this document nor the copy
+        is mutated in place, except through :meth:`append_cer` (which
+        adds a CER to the document's own results section) and
+        :meth:`merge` (which mutates neither input).  Any other mutation
+        needs :meth:`clone`.
         """
-        copied = Dra4wfmsDocument(copy.deepcopy(self.root))
-        copied._memo = self._memo.remap(self.root, copied.root)
+        results = self.results_section
+        new_results = _own_copy(results, list(results))
+        root = _own_copy(self.root, [new_results if child is results
+                                     else child for child in self.root])
+        copied = Dra4wfmsDocument(root)
+        copied._memo = self._memo.without(self.root, results)
         return copied
 
     # -- header -----------------------------------------------------------------

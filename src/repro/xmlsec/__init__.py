@@ -23,6 +23,7 @@ from .xmlenc import (
     ALG_CTR_HMAC,
     ALG_GCM,
     ENC_TAG,
+    DecryptionMemo,
     EncryptedValue,
     decrypt_value,
     encrypt_value,
@@ -37,6 +38,7 @@ __all__ = [
     "ALG_PSS",
     "ENC_TAG",
     "ID_ATTR",
+    "DecryptionMemo",
     "EncryptedValue",
     "Reference",
     "XmlSignature",

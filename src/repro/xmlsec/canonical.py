@@ -163,8 +163,8 @@ class CanonicalMemo:
     * call :meth:`discard` for every ancestor of a mutation point
       (appending a CER stales the serialization of the results section
       and the document root, but no sibling CER), and
-    * never share a memo between trees — :meth:`remap` derives a fresh
-      memo for a structure-preserving deep copy instead.
+    * never share a memo between trees — :meth:`without` derives a
+      fresh memo for a path copy of the tree instead.
 
     The memo is a pure producer-side optimisation: verification never
     consults it, so no cache state can influence what a verifier
@@ -239,27 +239,18 @@ class CanonicalMemo:
         self._entries.clear()
         self._chunks.clear()
 
-    def remap(self, old_root: ET.Element,
-              new_root: ET.Element) -> "CanonicalMemo":
-        """Memo for a deep copy of the tree this memo belongs to.
+    def without(self, *replaced: ET.Element) -> "CanonicalMemo":
+        """A fresh memo with every entry except those of *replaced*.
 
-        ``copy.deepcopy`` preserves structure, so iterating both trees
-        in document order pairs each original element with its copy;
-        every cached chunk is transferred to the copy at zero
-        serialization cost.
+        For a path copy of this memo's tree: the copy shares every
+        element with the tree except its own replacements of
+        *replaced*, so every other entry holds for the copy as it is.
         """
         fresh = CanonicalMemo()
-        entries = self._entries
-        chunks = self._chunks
-        store = fresh._entries
-        store_chunks = fresh._chunks
-        for old, new in zip(old_root.iter(), new_root.iter()):
-            entry = entries.get(id(old))
-            if entry is not None and entry[0] is old:
-                store[id(new)] = (new, entry[1])
-            chunk = chunks.get(id(old))
-            if chunk is not None and chunk[0] is old:
-                store_chunks[id(new)] = (new, chunk[1], chunk[2])
+        fresh._entries = dict(self._entries)
+        fresh._chunks = dict(self._chunks)
+        for element in replaced:
+            fresh.discard(element)
         return fresh
 
 

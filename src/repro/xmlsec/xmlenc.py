@@ -24,18 +24,25 @@ The construction is hybrid:
       </KeyInfo>
       <CipherData><CipherValue>…</CipherValue></CipherData>
     </EncryptedData>
+
+A routed document carries every earlier CER on every hop, so a reader
+who decrypts all it may read meets the same ciphertexts again and again.
+:class:`DecryptionMemo` remembers what one reader already decrypted.
 """
 
 from __future__ import annotations
 
+import hashlib
 import xml.etree.ElementTree as ET
+from collections import OrderedDict
 
 from ..crypto.backend import DATA_KEY_BYTES, CryptoBackend, default_backend
 from ..crypto.pure.rsa import RsaPrivateKey, RsaPublicKey
-from ..errors import XmlEncryptionError
+from ..errors import ReproError, XmlEncryptionError
 from .digest import b64, unb64
 
 __all__ = [
+    "DecryptionMemo",
     "EncryptedValue",
     "encrypt_value",
     "decrypt_value",
@@ -114,13 +121,16 @@ class EncryptedValue:
         """Decrypt the payload as *identity*.
 
         Raises :class:`XmlEncryptionError` when the identity is not an
-        authorised reader or the ciphertext/AAD was tampered with.
+        authorised reader or the ciphertext/AAD was tampered with.  Only a
+        :class:`~repro.errors.ReproError` of the backend (a
+        :class:`~repro.errors.DecryptionError` on hostile input) reads as
+        such a failure; any other exception is a crash and propagates.
         """
         backend = backend or default_backend()
         wrapped = self.wrapped_key_for(identity)
         try:
             data_key = backend.unwrap_key(private_key, wrapped)
-        except Exception as exc:
+        except ReproError as exc:
             raise XmlEncryptionError(
                 f"cannot unwrap data key for {identity!r}: {exc}"
             ) from exc
@@ -136,10 +146,81 @@ class EncryptedValue:
             if algorithm == ALG_GCM:
                 return backend.open_gcm(data_key, self.ciphertext, aad)
             return backend.open_sealed(data_key, self.ciphertext, aad)
-        except Exception as exc:
+        except ReproError as exc:
             raise XmlEncryptionError(
                 f"payload of {self.element_id!r} fails authentication: {exc}"
             ) from exc
+
+    def memo_key(self, identity: str,
+                 private_key: RsaPrivateKey) -> bytes | None:
+        """SHA-256 of every input of :meth:`decrypt` as *identity*.
+
+        Covers the reader's identity and key modulus, that reader's
+        wrapped-key text, ``Algorithm``, ``Id`` and ``Name``, the
+        recipient list and the ``CipherData`` text.  ``None`` when an
+        input is missing, so :meth:`decrypt` raises.
+        """
+        element = self.element
+        element_id = element.get("Id")
+        cipher = element.find("CipherData/CipherValue")
+        if element_id is None or cipher is None:
+            return None
+        recipients = []
+        wrapped = None
+        for node in element.findall("KeyInfo/EncryptedKey"):
+            recipients.append(node.get("Recipient", ""))
+            if wrapped is None and node.get("Recipient") == identity:
+                wrapped = node.find("CipherValue")
+                if wrapped is None:
+                    return None
+        if wrapped is None:
+            return None
+        inputs = (identity, hex(private_key.n), wrapped.text,
+                  element.get("Algorithm", ALG_CTR_HMAC), element_id,
+                  element.get("Name", ""), sorted(recipients), cipher.text)
+        return hashlib.sha256(repr(inputs).encode("utf-8")).digest()
+
+
+class DecryptionMemo:
+    """Plaintexts a reader already decrypted, keyed by what produced them.
+
+    A hit needs the same :meth:`EncryptedValue.memo_key`: the digest of
+    every input of one decrypt, so it stands for a decrypt of exactly
+    those inputs that succeeded.  Keying by the digest keeps an entry
+    small.  Only successes are stored: a failing decrypt raises as
+    without a memo, and is tried again next time.  Past :attr:`LIMIT`
+    entries the oldest goes first.  Each access is one ``OrderedDict``
+    call, so concurrent callers at worst decrypt the same value twice.
+
+    A memo is a reader's private cache (each AEA and TFC server owns
+    one); verification never reads it.
+    """
+
+    #: Entries kept; a full memo holds about 0.2 MiB.
+    LIMIT = 1024
+
+    __slots__ = ("_plaintexts",)
+
+    def __init__(self) -> None:
+        self._plaintexts: OrderedDict[bytes, bytes] = OrderedDict()
+
+    def __len__(self) -> int:
+        return len(self._plaintexts)
+
+    def decrypt(self, value: EncryptedValue, identity: str,
+                private_key: RsaPrivateKey,
+                backend: CryptoBackend | None = None) -> bytes:
+        """:meth:`EncryptedValue.decrypt`, unless this memo has the result."""
+        key = value.memo_key(identity, private_key)
+        if key is None:
+            return value.decrypt(identity, private_key, backend)
+        plaintext = self._plaintexts.get(key)
+        if plaintext is None:
+            plaintext = value.decrypt(identity, private_key, backend)
+            self._plaintexts[key] = plaintext
+            if len(self._plaintexts) > self.LIMIT:
+                self._plaintexts.popitem(last=False)
+        return plaintext
 
 
 def encrypt_value(element_id: str,

@@ -236,18 +236,6 @@ class TestCanonicalMemo:
         memo.store(one, "first")
         assert memo.lookup(two) is None
 
-    def test_remap_transfers_entries_to_copy(self):
-        import copy
-        memo = self._memo()
-        root = ET.Element("r")
-        child = ET.SubElement(root, "c")
-        memo.store(child, "<c></c>")
-        twin = copy.deepcopy(root)
-        fresh = memo.remap(root, twin)
-        assert fresh.lookup(twin[0]) == "<c></c>"
-        # The fresh memo belongs to the copy, not the original.
-        assert fresh.lookup(child) is None
-
     @given(xml_trees())
     def test_memoized_canonicalize_is_identical(self, tree):
         memo = self._memo()
