@@ -27,7 +27,8 @@ from ..core.tfc import TfcServer
 from ..crypto.backend import CryptoBackend, default_backend
 from ..crypto.pki import KeyDirectory
 from ..document.delta import DeltaDocument, Manifest, assemble, seed_chunks
-from ..document.document import Dra4wfmsDocument, grows_by_append
+from ..document.document import (Dra4wfmsDocument, grows_by_append,
+                                  process_id_of)
 from ..document.vcache import VerificationCache
 from ..document.verify import verify_document
 from ..errors import (
@@ -314,25 +315,29 @@ class PortalServer:
         *data* is always the **full** serialization — by the time a
         delta submission reaches this point it has been reassembled and
         digest-checked, so both entry points run the same checks over
-        the same bytes.  A delta submission also passes its *manifest*
-        and the (canonical) *chunks* the store already held, which warm
-        the parsed document's canonical memo for the stored history; the
-        TFC's verification records the rest, so later steps re-serialize
-        only new CERs.  Verification never reads the memo, and what is
-        stored is canonical whatever bytes the client shipped.
+        the same bytes.  The portal reads only the header; the TFC
+        parses and verifies the bytes, resuming from the instance's
+        previous submission when they extend it.  A delta submission
+        also passes its *manifest* and the (canonical) *chunks* the
+        store already held, which warm the finalized document's
+        canonical memo for the stored history, so storing it chunks only
+        new CERs.  Verification never reads the memo, and what is stored
+        is canonical whatever bytes the client shipped.
         """
-        document = Dra4wfmsDocument.from_bytes(data)
-        if manifest is not None and chunks is not None:
-            seed_chunks(document, manifest, chunks)
-        if not self.pool.is_registered(document.process_id):
+        try:
+            process_id = process_id_of(data)
+        except ReproError as exc:
+            self.stats["rejected"] += 1
+            raise PortalError(f"submission rejected: {exc}") from exc
+        if not self.pool.is_registered(process_id):
             self.stats["rejected"] += 1
             raise PortalError(
-                f"process {document.process_id!r} unknown to this cloud "
+                f"process {process_id!r} unknown to this cloud "
                 f"(initial document was never uploaded)"
             )
 
         try:
-            tfc_result = self.tfc.process(document)
+            tfc_result = self.tfc.process(data)
         except RuntimeFault as exc:
             self.stats["rejected"] += 1
             raise PortalError(
@@ -344,7 +349,9 @@ class PortalServer:
             raise PortalError(f"submission rejected: {exc}") from exc
 
         finalized = tfc_result.document
-        stored = self.pool.latest_bytes(document.process_id)
+        if manifest is not None and chunks is not None:
+            seed_chunks(finalized, manifest, chunks)
+        stored = self.pool.latest_bytes(process_id)
         if grows_by_append(stored, finalized.to_bytes()):
             merged, definition = finalized, tfc_result.definition
         else:

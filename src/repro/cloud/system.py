@@ -274,8 +274,11 @@ class CloudClient:
     system: CloudSystem
 
     def __post_init__(self) -> None:
+        # With a cloud cache, the agent keeps what it verified itself, so
+        # a returning participant checks only what was appended since.
         self.agent = ActivityExecutionAgent(
-            self.keypair, self.system.directory, self.system.backend
+            self.keypair, self.system.directory, self.system.backend,
+            keep_passes=self.system.verify_cache is not None,
         )
         #: portal id → authenticated session at that front door.
         self._sessions: dict[str, Session] = {}
@@ -435,14 +438,21 @@ class CloudClient:
 
         Raises :class:`~repro.errors.JoinNotReady` when an AND-join is
         still missing sibling branches — retry after they arrive.
+
+        The agent gets the retrieved bytes, so a returning participant
+        verifies only what was appended since its last visit.  In delta
+        mode the executed document's memo is then seeded from the
+        retrieved chunks, so the submit chunks only the new CER.
         """
-        document = self.retrieve_document(process_id)
+        data, manifest = self._retrieve(process_id)
         result = self.agent.execute_activity(
-            document, activity_id, responder,
+            data, activity_id, responder,
             mode="advanced",
             tfc_identity=self.system.tfc.identity,
             tfc_public_key=self.system.tfc.public_key,
         )
+        if manifest is not None:
+            seed_chunks(result.document, manifest, self.chunks)
         return self.submit_document(result.document)
 
     def monitor(self, process_id: str):

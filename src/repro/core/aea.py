@@ -5,7 +5,9 @@ running on the participant's own machine — anywhere, on any device —
 replaces the workflow engine.  For each received document the AEA:
 
 1. parses it and **verifies every embedded digital signature** (legal
-   definition, valid history);
+   definition, valid history); an agent that keeps passes checks
+   bytes that extend the copy of the instance it verified last time
+   only for the CERs appended since;
 2. checks the participant is the designated executor;
 3. decrypts and presents the requested data (here: an
    :class:`ActivityContext` handed to a responder callable); a field
@@ -45,6 +47,7 @@ from ..document.builder import make_intermediate_cer, make_standard_cer
 from ..document.delta import ChunkCache, DeltaDocument, decode_delta
 from ..document.document import Dra4wfmsDocument
 from ..document.nonrepudiation import frontier_cers
+from ..document.resume import KeptPasses
 from ..document.vcache import VerificationCache
 from ..document.verify import VerificationReport, verify_document
 from ..errors import AuthorizationError, PolicyError, RoutingError, RuntimeFault
@@ -110,7 +113,8 @@ class ActivityExecutionAgent:
 
     def __init__(self, keypair: KeyPair, directory: KeyDirectory,
                  backend: CryptoBackend | None = None,
-                 verify_cache: VerificationCache | None = None) -> None:
+                 verify_cache: VerificationCache | None = None,
+                 keep_passes: bool = False) -> None:
         self.keypair = keypair
         self.directory = directory
         self.backend = backend or default_backend()
@@ -119,6 +123,11 @@ class ActivityExecutionAgent:
         #: next routed copy costs hashing, not RSA.  ``None`` (default)
         #: keeps every receive a cold, trust-nothing verification.
         self.verify_cache = verify_cache
+        #: With *keep_passes*, the last copy of each instance this agent
+        #: received as bytes and verified in full, so the next copy of it
+        #: costs only the CERs appended since (``None``: every receive is
+        #: a full pass).
+        self.kept_passes = KeptPasses() if keep_passes else None
         #: Content-addressed chunks this agent has seen: lets a peer
         #: route a :class:`~repro.document.delta.DeltaDocument` (only
         #: the CERs this agent lacks) instead of the full bytes.  The
@@ -146,23 +155,28 @@ class ActivityExecutionAgent:
 
     # -- step 1: receive & verify ------------------------------------------------
 
-    def receive(self, data: bytes | Dra4wfmsDocument | DeltaDocument,
-                merge_with: list[Dra4wfmsDocument] | None = None,
-                ) -> tuple[Dra4wfmsDocument, VerificationReport, float]:
-        """Parse, merge (AND-join) and verify a routed document.
+    def _receive(self, data: bytes | Dra4wfmsDocument | DeltaDocument,
+                 merge_with: list[Dra4wfmsDocument] | None,
+                 ) -> tuple[Dra4wfmsDocument, VerificationReport]:
+        """Materialize, merge (AND-join) and verify a routed document.
 
-        Returns ``(document, report, seconds)``.
+        Unmerged bytes go to the verifier as they are, so a copy that
+        extends the one this agent last received of the instance resumes
+        its verification.
         """
-        start = time.perf_counter()
-        document = self._materialize(data)
-        for branch in merge_with or ():
-            document = document.merge(branch)
+        if isinstance(data, DeltaDocument):
+            data = decode_delta(data, self.chunk_cache)
+        if merge_with:
+            data = self._materialize(data)
+            for branch in merge_with:
+                data = data.merge(branch)
         report = verify_document(
-            document, self.directory, self.backend,
+            data, self.directory, self.backend,
             definition_reader=(self.identity, self.keypair.private_key),
             cache=self.verify_cache,
+            kept=self.kept_passes,
         )
-        return document, report, time.perf_counter() - start
+        return report.document, report
 
     # -- full execution -----------------------------------------------------------
 
@@ -201,14 +215,7 @@ class ActivityExecutionAgent:
 
         # α phase: parse + verify + decrypt ------------------------------------
         alpha_start = time.perf_counter()
-        document = self._materialize(data)
-        for branch in merge_with or ():
-            document = document.merge(branch)
-        report = verify_document(
-            document, self.directory, self.backend,
-            definition_reader=(self.identity, self.keypair.private_key),
-            cache=self.verify_cache,
-        )
+        document, report = self._receive(data, merge_with)
         definition = report.definition
 
         activity = definition.activity(activity_id)
@@ -324,13 +331,8 @@ class ActivityExecutionAgent:
         document frontier.  Returns the new document; the caller routes
         it onwards like any other copy.
         """
-        document = self._materialize(data)
-        current = verify_document(
-            document, self.directory, self.backend,
-            definition_reader=(self.identity, self.keypair.private_key),
-            cache=self.verify_cache,
-        ).definition
-        check_authorized(amendment, self.identity, current)
+        document, report = self._receive(data, None)
+        check_authorized(amendment, self.identity, report.definition)
 
         new_document = document.clone_for_append()
         sequence = len(amendment_cers(new_document))

@@ -12,8 +12,9 @@ authoritative process state; it only
   variables the participant was not allowed to see — Fig. 4; the guard
   variables it decrypted on earlier hops come from its decryption memo);
 * **forwards** the document according to the control flow; and
-* keeps a record of every processed document so the status of workflow
-  executions can be queried (§2.2, monitoring).
+* keeps a record of every processed activity and the latest forwarded
+  copy of each instance, so the status of workflow executions can be
+  queried (§2.2, monitoring).
 
 Crucially the TFC *also signs into the cascade*: its CER countersigns
 the participant's intermediate signature, so even a malicious TFC
@@ -41,6 +42,7 @@ from ..document.builder import (
     parse_result_bundle,
 )
 from ..document.document import Dra4wfmsDocument
+from ..document.resume import KeptPasses
 from ..document.vcache import VerificationCache
 from ..document.verify import VerificationReport, verify_document
 from ..errors import RuntimeFault
@@ -109,6 +111,11 @@ class TfcServer:
         #: Opt-in shared signature cache for incremental verification
         #: (``None`` keeps every ``process()`` a cold verify).
         self.verify_cache = verify_cache
+        #: With a cache, the last submission of each live instance that
+        #: verified in full, so the next one (its bytes) is verified
+        #: from there: only the CERs appended since are parsed and
+        #: checked.  This server's own history, never shared.
+        self.kept_passes = None if verify_cache is None else KeptPasses()
         #: Batched RSA verification threads forwarded to
         #: :func:`verify_document` (see its *workers* docs).
         self.verify_workers = verify_workers
@@ -124,8 +131,8 @@ class TfcServer:
         self.decryption_memo = DecryptionMemo()
         #: Monitoring records, in processing order.
         self.records: list[TfcRecord] = []
-        #: Copies of every forwarded document (workflow monitoring).
-        self.document_log: list[bytes] = []
+        #: process id → the latest forwarded copy (workflow monitoring).
+        self.document_log: dict[str, bytes] = {}
         #: Optional observability hook (:class:`repro.obs.Tracer`) —
         #: the TFC has no :class:`SimClock` of its own (its *clock* is a
         #: bare timestamp callable), so the span hook attaches here.
@@ -151,7 +158,9 @@ class TfcServer:
 
         Verifies the document, decrypts the TFC-addressed bundle,
         re-encrypts the result per policy, timestamps, signs, records,
-        and computes the routing decision.
+        and computes the routing decision.  Received bytes resume the
+        verification of the instance's previous submission (see
+        :func:`~repro.document.verify.verify_document`).
         """
         with self._trace("tfc.process", "tfc"):
             return self._process(data)
@@ -159,16 +168,15 @@ class TfcServer:
     def _process(self, data: bytes | Dra4wfmsDocument) -> TfcResult:
         verify_start = time.perf_counter()
         with self._trace("tfc.verify", "crypto"):
-            document = (data if isinstance(data, Dra4wfmsDocument)
-                        else Dra4wfmsDocument.from_bytes(data))
             report: VerificationReport = verify_document(
-                document, self.directory, self.backend,
+                data, self.directory, self.backend,
                 definition_reader=(self.identity, self.keypair.private_key),
                 tfc_identities=self.trusted_tfcs,
                 cache=self.verify_cache,
                 workers=self.verify_workers,
+                kept=self.kept_passes,
             )
-            definition = report.definition
+            document, definition = report.document, report.definition
 
             pending = document.pending_intermediate()
             if not pending:
@@ -223,6 +231,8 @@ class TfcServer:
             sign_seconds = time.perf_counter() - sign_start
 
         routing = route_after(definition, activity_id, typed)
+        if routing.terminal and self.kept_passes is not None:
+            self.kept_passes.forget(document.process_id)
 
         self.records.append(TfcRecord(
             process_id=document.process_id,
@@ -232,7 +242,7 @@ class TfcServer:
             timestamp=timestamp,
         ))
         if self.keep_copies:
-            self.document_log.append(new_document.to_bytes())
+            self.document_log[document.process_id] = new_document.to_bytes()
         return TfcResult(
             document=new_document,
             activity_id=activity_id,
@@ -252,8 +262,5 @@ class TfcServer:
 
     def latest_document(self, process_id: str) -> Dra4wfmsDocument | None:
         """The most recent forwarded copy of a process instance."""
-        for blob in reversed(self.document_log):
-            document = Dra4wfmsDocument.from_bytes(blob)
-            if document.process_id == process_id:
-                return document
-        return None
+        blob = self.document_log.get(process_id)
+        return None if blob is None else Dra4wfmsDocument.from_bytes(blob)

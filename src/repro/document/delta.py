@@ -362,8 +362,10 @@ def seed_chunks(document: Dra4wfmsDocument, manifest: Manifest,
 
     *document* must have been parsed from the byte concatenation the
     *manifest* describes (i.e. the output of :func:`assemble`, which
-    checked every chunk digest and the whole-document digest), and
-    *chunks* may hold only chunks known to be **canonical**: those the
+    checked every chunk digest and the whole-document digest), or be a
+    path copy of such a document with CERs appended since (only its
+    leading CERs are seeded), and *chunks* may hold only chunks known
+    to be **canonical**: those the
     pool's chunk store holds, or that this side serialized itself.  A
     digest proves only which bytes arrived, and a client can ship a
     CER in a non-canonical form of the same infoset.  A canonical CER
@@ -379,13 +381,13 @@ def seed_chunks(document: Dra4wfmsDocument, manifest: Manifest,
     This is a producer-side optimisation only: verification never reads
     the memo.  *chunks* is any digest→bytes mapping (``dict`` or
     :class:`ChunkCache`); missing digests just leave those entries cold.
-    Structural mismatch (CER count differs from the manifest) silently
+    Structural mismatch (fewer CERs than the manifest names) silently
     seeds nothing.
     """
     memo = document._memo
     nodes = _boundary_nodes(document.root, CER_TAG)
     cer_chunks = [c for c in manifest.chunks if c.is_cer]
-    if len(nodes) != len(cer_chunks):
+    if len(nodes) < len(cer_chunks):
         return
     for node, chunk in zip(nodes, cer_chunks):
         try:

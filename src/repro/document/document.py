@@ -12,7 +12,7 @@ import copy
 import uuid
 import xml.etree.ElementTree as ET
 
-from ..errors import DocumentFormatError, TamperDetected
+from ..errors import CanonicalizationError, DocumentFormatError, TamperDetected
 from ..model.definition import WorkflowDefinition
 from ..model.xpdl import definition_from_xml
 from ..xmlsec.canonical import CanonicalMemo, canonicalize, parse_xml
@@ -34,7 +34,8 @@ from .sections import (
     WFDEF_TAG,
 )
 
-__all__ = ["Dra4wfmsDocument", "grows_by_append", "new_process_id"]
+__all__ = ["Dra4wfmsDocument", "appended_bytes", "grows_by_append",
+           "new_process_id", "process_id_of"]
 
 #: How every canonical document ends: the results section is the root's
 #: last child, so a hop's new CERs go right before these bytes.
@@ -57,6 +58,50 @@ def grows_by_append(stored: bytes, data: bytes) -> bool:
     """
     return (stored.endswith(_CLOSING)
             and data.startswith(memoryview(stored)[:-len(_CLOSING)]))
+
+
+def appended_bytes(stored: bytes, data: bytes) -> bytes | None:
+    """What *data* adds inside the results section of *stored*.
+
+    The bytes between *stored* minus its closing tags and the same
+    closing tags at the end of *data*, when :func:`grows_by_append`
+    holds and *data* ends that way; otherwise ``None``.
+    """
+    if (len(data) < len(stored) or not data.endswith(_CLOSING)
+            or not grows_by_append(stored, data)):
+        return None
+    return data[len(stored) - len(_CLOSING):len(data) - len(_CLOSING)]
+
+
+def process_id_of(data: bytes) -> str:
+    """``Dra4wfmsDocument.from_bytes(data).process_id``, parsing only as
+    far as the header.
+
+    Raises what the full parse raises for the bytes read; a fault after
+    the header goes unnoticed here.
+    """
+    parser = ET.XMLPullParser(events=("start", "end"))
+    depth = 0
+    try:
+        for offset in range(0, len(data), 1024):
+            parser.feed(data[offset:offset + 1024])
+            for event, element in parser.read_events():
+                if event == "end":
+                    depth -= 1
+                    continue
+                if depth == 0 and element.tag != DOC_TAG:
+                    raise DocumentFormatError(
+                        f"expected <{DOC_TAG}>, got <{element.tag}>")
+                if depth == 1 and element.tag == HEADER_TAG:
+                    value = element.get("ProcessId")
+                    if not value:
+                        raise DocumentFormatError("header has no ProcessId")
+                    return value
+                depth += 1
+        parser.close()
+    except ET.ParseError as exc:
+        raise CanonicalizationError(f"malformed XML: {exc}") from exc
+    raise DocumentFormatError("document has no Header")
 
 
 def _own_copy(element: ET.Element, children: list[ET.Element]) -> ET.Element:

@@ -28,6 +28,7 @@ __all__ = [
     "nonrepudiation_scope",
     "nonrepudiation_scope_ids",
     "all_scopes",
+    "extend_scopes",
     "frontier_cers",
     "covers_whole_document",
 ]
@@ -53,9 +54,14 @@ def signs_relation(document: Dra4wfmsDocument,
     timestamp, header…) are not part of the relation.  *memo*: see
     :func:`~repro.xmlsec.xmldsig.pass_references`.
     """
-    owners = signature_owner_map(document)
+    return _relation(document.cers(), signature_owner_map(document), memo)
+
+
+def _relation(cers: list[CER], owners: dict[str, CER],
+              memo: dict | None) -> dict[str, set[str]]:
+    """:func:`signs_relation` of *cers*, given the signature owners."""
     relation: dict[str, set[str]] = {}
-    for cer in document.cers():
+    for cer in cers:
         signed: set[str] = set()
         for ref_id in pass_referenced_ids(cer.signature, memo):
             owner = owners.get(ref_id)
@@ -113,8 +119,23 @@ def all_scopes(document: Dra4wfmsDocument,
     which on a malicious cycle falls back to a self-only scope instead
     of recursing forever (verification rejects such a document).
     """
-    relation = signs_relation(document, memo)
-    scopes: dict[str, set[str]] = {}
+    return extend_scopes({}, document.cers(), signature_owner_map(document),
+                         memo)
+
+
+def extend_scopes(scopes: dict[str, set[str]], cers: list[CER],
+                  owners: dict[str, CER],
+                  memo: dict | None = None) -> dict[str, set[str]]:
+    """Add the scopes of *cers* to *scopes*, the scopes of the CERs
+    before them; *owners* maps every signature id of the document to
+    its CER (:func:`signature_owner_map`).
+
+    No earlier signature covers a CER appended after it, so appending
+    CERs leaves the scopes of the earlier ones as they are: extending
+    the scopes of a prefix by the CERs after it gives
+    :func:`all_scopes` of the whole document.
+    """
+    relation = _relation(cers, owners, memo)
     for cer_id in relation:
         _closure(cer_id, relation, scopes, set())
     return scopes

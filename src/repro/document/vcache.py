@@ -31,6 +31,12 @@ backend, so entries are backend-independent: a document verified under
 :class:`~repro.crypto.fast.FastBackend` and vice versa
 (``tests/document/test_cross_backend_verify.py``).
 
+The cache still canonicalizes and hashes every covered element to
+prove the prefix unchanged.  A receiver that sees an instance again
+skips even that by resuming from the document it verified last time
+(:mod:`repro.document.resume`): that is the holder's own history,
+kept apart from these shareable keys.
+
 The cache is **opt-in** everywhere (``verify_document(..., cache=…)``):
 the trust model is unchanged, and a receiver that does not want to rely
 on its own history — an auditor, a portal doing a cold re-check —

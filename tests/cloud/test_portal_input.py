@@ -9,6 +9,7 @@ behind the portal propagates as itself.
 from __future__ import annotations
 
 import hashlib
+from xml.etree import ElementTree as ET
 
 import pytest
 
@@ -105,7 +106,38 @@ def test_noncanonical_submission_stored_canonical(world, backend, fig9b,
         entries = client.portal.submit(client.session, blob)
     assert {entry.activity_id for entry in entries} == {"B1", "B2"}
     assert is_canonical(system.pool.latest_bytes(pid))
-    assert is_canonical(system.tfc.document_log[-1])
+    assert is_canonical(system.tfc.document_log[pid])
+
+
+@pytest.mark.parametrize("place", ["root", "new-signature"])
+def test_unsigned_content_not_stored(world, backend, fig9b, place):
+    system = cloud(world, backend)
+    client, pid, document = executed_a(system, world, backend, fig9b,
+                                       figure9_responders(1)["A"])
+    stored = system.pool.latest_bytes(pid)
+    # Every signature still verifies around a note after the results,
+    # or inside the signature of the CER the submission adds (which the
+    # TFC's CER would countersign).
+    parent = (document.root if place == "root" else
+              document.results_section.findall("CER")[-1].find("Signature"))
+    ET.SubElement(parent, "Note").text = "pay mallory"
+    document.drop_canonical_cache()
+    with pytest.raises(PortalError, match="no signature covers: <Note>"):
+        client.portal.submit(client.session, document.to_bytes())
+    assert client.portal.stats["rejected"] == 1
+    assert system.pool.latest_bytes(pid) == stored
+
+
+@pytest.mark.parametrize("cut", [40, -40], ids=["in-header", "after-header"])
+def test_malformed_submission_rejected(world, backend, fig9b, cut):
+    system = cloud(world, backend)
+    client, pid, document = executed_a(system, world, backend, fig9b,
+                                       figure9_responders(1)["A"])
+    stored = system.pool.latest_bytes(pid)
+    with pytest.raises(PortalError, match="submission rejected: malformed"):
+        client.portal.submit(client.session, document.to_bytes()[:cut])
+    assert client.portal.stats["rejected"] == 1
+    assert system.pool.latest_bytes(pid) == stored
 
 
 class TestOnlyLibraryErrorsReject:

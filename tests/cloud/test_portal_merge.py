@@ -125,15 +125,27 @@ def test_branch_with_altered_shared_cer_rejected(world, backend, fig9b,
                                                  routing, merges):
     system, pid = after_a(world, backend, fig9b, routing)
     clients, documents = execute_branches(system, world, pid)
+
+    # A's submission finalized a second time gives a second, validly
+    # signed TFC CER for A, so B2 executed on that copy still verifies;
+    # only the merge sees that its copy of A's TFC CER differs from the
+    # stored one.  (Verification rejects unsigned content, such as text
+    # inside a CER, before any merge.)
+    resubmitted = Dra4wfmsDocument.from_bytes(system.pool.latest_bytes(pid))
+    resubmitted.results_section.remove(
+        resubmitted.find_cer("A", 0, KIND_TFC).element)
+    resubmitted.drop_canonical_cache()
+    refinalized = system.tfc.process(resubmitted).document
+    altered = clients["B2"].agent.execute_activity(
+        refinalized, "B2", figure9_responders(1)["B2"], mode="advanced",
+        tfc_identity=system.tfc.identity,
+        tfc_public_key=system.tfc.public_key,
+    ).document
+    assert (altered.find_cer("A", 0, KIND_TFC).timestamp
+            != documents["B2"].find_cer("A", 0, KIND_TFC).timestamp)
+
     clients["B1"].submit_document(documents["B1"])
     stored = system.pool.latest_bytes(pid)
-
-    # Text inside a CER element is covered by no signature, so the
-    # altered branch still verifies; only the merge sees that its copy
-    # of A's TFC CER differs from the stored one.
-    altered = documents["B2"]
-    altered.find_cer("A", 0, KIND_TFC).element.text = " "
-    altered.drop_canonical_cache()
     with pytest.raises(TamperDetected, match="differs between branch"):
         clients["B2"].submit_document(altered)
     assert merges == [pid]

@@ -99,7 +99,7 @@ class TestProcessing:
                           world.directory, backend=backend,
                           keep_copies=False)
         outcome = quiet.process(after_a_intermediate)
-        assert quiet.document_log == []
+        assert quiet.document_log == {}
         assert quiet.latest_document(outcome.document.process_id) is None
         assert len(quiet.records) == 1
 

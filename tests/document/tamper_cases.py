@@ -17,6 +17,14 @@ Fig. 9B document.  Lower layers report these with their own
 :class:`~repro.errors.ReproError` subclasses; verification must still
 reject them as a :class:`~repro.errors.VerificationError`.
 
+Last, it holds content no signature covers, which every signature
+still verifies around: an attribute or a child of the document root, a
+second results section, text or a stray element among the CERs, a
+child or text of a CER, a child or an attribute of the definition
+section, an attribute of the results section, and a child or an
+attribute inside the last CER's signature (the same inside a middle
+CER's signature is covered by its successor's, a digest mismatch).
+
 A case's ``apply(document, donor)`` mutates *document* in place;
 ``donor`` names which pristine sibling document the mutation grafts
 from (``None`` for self-contained mutations):
@@ -321,6 +329,87 @@ def _structure_fault(fault, position: str):
     return apply
 
 
+# -- content no signature covers (advanced model) ----------------------------
+
+#: What an attacker slips past every signature.
+_NOTE = "pay mallory"
+
+
+def _note() -> ET.Element:
+    note = ET.Element("Note")
+    note.text = _NOTE
+    return note
+
+
+def _unsigned_root_attribute(document, donor) -> None:
+    document.root.set("Note", _NOTE)
+
+
+def _unsigned_root_child(document, donor) -> None:
+    document.root.append(_note())
+
+
+def _unsigned_second_results(document, donor) -> None:
+    ET.SubElement(document.root, "ActivityExecutionResults").append(_note())
+
+
+def _unsigned_appdef_child(document, donor) -> None:
+    document.root.find("ApplicationDefinition").append(_note())
+
+
+def _unsigned_appdef_attribute(document, donor) -> None:
+    document.root.find("ApplicationDefinition").set("Note", _NOTE)
+
+
+def _unsigned_results_attribute(document, donor) -> None:
+    # An Id would put the section in the id index (see
+    # test_resumed_verify.py, a reference to the results section).
+    document.results_section.set("Id", "results")
+
+
+def _results_cer(document, position: str) -> ET.Element:
+    cers = document.results_section.findall("CER")
+    return cers[len(cers) // 2] if position == "mid" else cers[-1]
+
+
+def _unsigned_results_text(position: str):
+    def apply(document, donor) -> None:
+        _results_cer(document, position).tail = _NOTE
+    return apply
+
+
+def _unsigned_results_element(position: str):
+    def apply(document, donor) -> None:
+        results = document.results_section
+        cer = _results_cer(document, position)
+        results.insert(list(results).index(cer) + 1, _note())
+    return apply
+
+
+def _unsigned_cer_child(position: str):
+    def apply(document, donor) -> None:
+        _structure_cer(document, position).append(_note())
+    return apply
+
+
+def _unsigned_cer_text(position: str):
+    def apply(document, donor) -> None:
+        _structure_cer(document, position).text = _NOTE
+    return apply
+
+
+def _unsigned_in_signature(part: str, attribute: bool, position: str):
+    """A Note as a child, or an attribute, of *part* of the signature
+    of the CER at *position* (no signature covers either)."""
+    def apply(document, donor) -> None:
+        element = _structure_cer(document, position).find(part)
+        if attribute:
+            element.set("Note", _NOTE)
+        else:
+            element.append(_note())
+    return apply
+
+
 # -- the registry ------------------------------------------------------------
 
 
@@ -362,8 +451,40 @@ def _build_cases() -> list[TamperCase]:
             cases.append(TamperCase(f"structure-{fault_name}-{position}",
                                     "advanced", None,
                                     _structure_fault(fault, position)))
+    for name, apply in (("root-attribute", _unsigned_root_attribute),
+                        ("root-child", _unsigned_root_child),
+                        ("second-results", _unsigned_second_results),
+                        ("appdef-child", _unsigned_appdef_child),
+                        ("appdef-attribute", _unsigned_appdef_attribute),
+                        ("results-attribute", _unsigned_results_attribute)):
+        cases.append(TamperCase(f"unsigned-{name}", "advanced", None, apply))
+    for position in ("mid", "last"):
+        cases.append(TamperCase(f"unsigned-results-text-{position}",
+                                "advanced", None,
+                                _unsigned_results_text(position)))
+        cases.append(TamperCase(f"unsigned-results-element-{position}",
+                                "advanced", None,
+                                _unsigned_results_element(position)))
+    for position in ("def", "mid", "last"):
+        cases.append(TamperCase(f"unsigned-cer-child-{position}",
+                                "advanced", None,
+                                _unsigned_cer_child(position)))
+        cases.append(TamperCase(f"unsigned-cer-text-{position}",
+                                "advanced", None,
+                                _unsigned_cer_text(position)))
+    # Inside a signature: uncovered at the last CER, covered (and so a
+    # digest mismatch) wherever a successor countersigns it.
+    for name, part, attribute in (
+            ("signature-child", "Signature", False),
+            ("signature-attribute", "Signature", True),
+            ("keyinfo-child", "Signature/KeyInfo", False),
+            ("keyname-attribute", "Signature/KeyInfo/KeyName", True)):
+        for position in ("mid", "last"):
+            cases.append(TamperCase(
+                f"unsigned-{name}-{position}", "advanced", None,
+                _unsigned_in_signature(part, attribute, position)))
     return cases
 
 
-#: The full adversarial sweep: 120 mutations over two document models.
+#: The full adversarial sweep: 144 mutations over two document models.
 TAMPER_CASES: list[TamperCase] = _build_cases()
