@@ -3,7 +3,9 @@
 Decides, after an activity completes, which signatures the new CER must
 countersign (the cascade) and which activities receive the document
 next.  Used by AEAs in the basic model and by the TFC server in the
-advanced model.
+advanced model.  Both read the document's
+:meth:`~repro.document.document.Dra4wfmsDocument.history`: on a hop,
+the one the receiver's verification pass built.
 """
 
 from __future__ import annotations
@@ -12,9 +14,8 @@ import xml.etree.ElementTree as ET
 from dataclasses import dataclass
 from typing import Mapping
 
+from ..document.cer import KIND_AMENDMENT
 from ..document.document import Dra4wfmsDocument
-from ..document.nonrepudiation import frontier_cers
-from ..document.sections import KIND_INTERMEDIATE
 from ..errors import JoinNotReady, RoutingError
 from ..model.controlflow import JoinKind
 from ..model.definition import WorkflowDefinition
@@ -50,8 +51,9 @@ def cascade_targets(document: Dra4wfmsDocument,
     CER's signature (which itself covers the participant's intermediate
     signature), so the chain runs participant → TFC → participant …
     """
-    if document.pending_intermediate():
-        pending = document.pending_intermediate()[0]
+    history = document.history()
+    if history.pending:
+        pending = history.pending_intermediate()[0]
         raise RoutingError(
             f"document has an unfinalised intermediate CER for "
             f"{pending.activity_id}^{pending.iteration}; route it to the "
@@ -59,22 +61,20 @@ def cascade_targets(document: Dra4wfmsDocument,
         )
     targets: list[ET.Element] = []
     for pred in definition.predecessors(activity_id):
-        executed = document.execution_count(pred)
+        executed = history.execution_count(pred)
         if executed == 0:
             continue
-        cer = document.cascade_signature_of(pred, executed - 1)
+        cer = history.cascade_signature_of(pred, executed - 1)
         if cer is not None:
             targets.append(cer.signature.element)
     if not targets:
         # Start of the process: countersign the designer (CER(A0)).
-        targets.append(document.definition_cer.signature.element)
+        targets.append(history.cers[0].signature.element)
     # Run-time amendments not yet countersigned join the cascade here,
     # so later scopes cover them (the amendment becomes as
     # nonrepudiable as any execution result).
-    from ..document.amendments import KIND_AMENDMENT as _AMD
-
-    for cer in frontier_cers(document):
-        if cer.kind == _AMD:
+    for cer in history.frontier():
+        if cer.kind == KIND_AMENDMENT:
             targets.append(cer.signature.element)
     return targets
 
@@ -93,8 +93,9 @@ def check_join_ready(document: Dra4wfmsDocument,
     predecessors = set(definition.predecessors(activity_id))
     if not predecessors:
         return
+    history = document.history()
     frontier_activities = {
-        cer.activity_id for cer in frontier_cers(document)
+        cer.activity_id for cer in history.frontier()
     }
     if activity.join is JoinKind.AND:
         missing = predecessors - frontier_activities
@@ -110,10 +111,10 @@ def check_join_ready(document: Dra4wfmsDocument,
         # cascade signature still binds this execution to what it saw.)
         if activity_id == definition.start_activity:
             return
-        if document.execution_count(activity_id) > 0:
+        if history.execution_count(activity_id) > 0:
             return
         if not any(
-            document.execution_count(pred) > 0 for pred in predecessors
+            history.execution_count(pred) > 0 for pred in predecessors
         ):
             raise JoinNotReady(
                 f"no predecessor of {activity_id!r} has completed yet"

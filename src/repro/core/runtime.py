@@ -282,7 +282,7 @@ class ProcessExecution:
             gamma=gamma,
             size_bytes=document.size_bytes,
             signatures_verified=result.timings.signatures_verified,
-            num_cers=len(document.cers(include_definition=False)),
+            num_cers=len(document.results_section),
             mode=self.mode,
             wire_bytes=ready.wire_bytes,
             intermediate_size_bytes=intermediate_size,

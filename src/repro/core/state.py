@@ -40,7 +40,9 @@ class VariableView:
                    private_key: RsaPrivateKey,
                    backend: CryptoBackend | None = None,
                    memo: DecryptionMemo | None = None) -> "VariableView":
-        """Decrypt everything *identity* may read.
+        """Decrypt everything *identity* may read, over the CERs of the
+        document's :meth:`~repro.document.document.Dra4wfmsDocument.history`
+        (on a hop, the receiver's verification pass's).
 
         With *memo* (the reader's own; every AEA and TFC server keeps
         one), a field decrypted on an earlier hop from exactly the same
@@ -49,7 +51,7 @@ class VariableView:
         """
         backend = backend or default_backend()
         raw: dict[str, str] = {}
-        for cer in document.cers(include_definition=False):
+        for cer in document.history().cers:
             if cer.kind not in (KIND_STANDARD, KIND_TFC):
                 continue
             for enc in cer.encrypted_fields():
@@ -144,14 +146,15 @@ def execution_status(document: Dra4wfmsDocument,
     security policy.
     """
     status = ExecutionStatus(process_id=document.process_id)
-    for cer in document.cers(include_definition=False):
+    history = document.history()
+    for cer in history.cers[1:]:
         key = (cer.activity_id, cer.iteration)
         if cer.kind in (KIND_STANDARD, KIND_TFC):
             status.completed.append(key)
             ts = cer.timestamp
             if ts is not None:
                 status.timestamps[key] = ts
-    for cer in document.pending_intermediate():
+    for cer in history.pending_intermediate():
         status.pending_tfc.append((cer.activity_id, cer.iteration))
     if definition is not None:
         ends = set(definition.end_activities())

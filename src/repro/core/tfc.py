@@ -220,12 +220,10 @@ class TfcServer:
 
             timestamp = float(self.clock())
             new_document = document.clone_for_append()
-            intermediate_sig = new_document.find_cer(
-                activity_id, iteration, cer_it.kind
-            ).signature.element
             tfc_cer = make_tfc_cer(
                 activity_id, iteration, self.keypair, values,
-                readers_for, intermediate_sig, timestamp, self.backend,
+                readers_for, cer_it.signature.element, timestamp,
+                self.backend,
             )
             new_document.append_cer(tfc_cer)
             sign_seconds = time.perf_counter() - sign_start

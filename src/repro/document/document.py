@@ -21,15 +21,14 @@ from ..xmlsec.xmlenc import ENC_TAG, EncryptedValue
 from ..crypto.backend import CryptoBackend, default_backend
 from ..crypto.pure.rsa import RsaPrivateKey
 from .cer import CER, CerKey
+from .history import CerHistory
 from .sections import (
     APPDEF_TAG,
     CER_TAG,
     DOC_TAG,
     HEADER_TAG,
     KIND_DEFINITION,
-    KIND_INTERMEDIATE,
     KIND_STANDARD,
-    KIND_TFC,
     RESULTS_TAG,
     WFDEF_TAG,
 )
@@ -131,6 +130,9 @@ class Dra4wfmsDocument:
         # document's back must call drop_canonical_cache() before the
         # next serialization (and must own the tree: see clone()).
         self._memo = CanonicalMemo()
+        # The history the verification pass that accepted this tree
+        # built (see history()); dropped as soon as the tree changes.
+        self._history: CerHistory | None = None
 
     # -- serialization ---------------------------------------------------------
 
@@ -145,13 +147,15 @@ class Dra4wfmsDocument:
         return canonicalize(self.root, self._memo)
 
     def drop_canonical_cache(self) -> None:
-        """Invalidate every memoised serialization of this document.
+        """Invalidate every memoised serialization of this document, and
+        the history of the pass that verified it.
 
         Required after any direct mutation of ``self.root`` that
         bypasses :meth:`append_cer`/:meth:`merge` (tamper-simulation
         harnesses, tests).
         """
         self._memo.clear()
+        self._history = None
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Dra4wfmsDocument":
@@ -180,9 +184,10 @@ class Dra4wfmsDocument:
         The copy gets its own root and results section and shares every
         other element with this document: the header, the definition CER
         and every CER.  Its canonical memo is this document's, minus the
-        entries of the two replaced elements.  Copying therefore creates
-        two elements however long the cascade, and the copy serializes
-        byte-identically to a deep copy.
+        entries of the two replaced elements, and its :meth:`history`
+        this document's.  Copying therefore creates two elements however
+        long the cascade, and the copy serializes byte-identically to a
+        deep copy.
 
         The contract: after this call neither this document nor the copy
         is mutated in place, except through :meth:`append_cer` (which
@@ -196,6 +201,7 @@ class Dra4wfmsDocument:
                                      else child for child in self.root])
         copied = Dra4wfmsDocument(root)
         copied._memo = self._memo.without(self.root, results)
+        copied._history = self._history
         return copied
 
     # -- header -----------------------------------------------------------------
@@ -315,44 +321,45 @@ class Dra4wfmsDocument:
         """Look up one CER, or ``None``."""
         return self.cer_index().get((activity_id, iteration, kind))
 
-    def execution_count(self, activity_id: str) -> int:
-        """How many times *activity_id* has completed (max iteration + 1).
+    def history(self) -> CerHistory:
+        """This document's id index and CERs, with the rules routing
+        reads (:class:`~repro.document.history.CerHistory`).
 
-        Counts standard and TFC CERs — intermediate CERs mean the TFC
-        has not finalised the step yet.
+        A document :func:`~repro.document.verify.verify_document`
+        accepted carries the history that pass built, and so do its
+        path copies (:meth:`clone_for_append`) until they change; any
+        other document builds it here, from the tree.
         """
-        iterations = [
-            cer.iteration for cer in self.cers(include_definition=False)
-            if cer.activity_id == activity_id
-            and cer.kind in (KIND_STANDARD, KIND_TFC)
-        ]
-        return max(iterations, default=-1) + 1
+        if self._history is not None:
+            return self._history
+        return CerHistory.of(self)
+
+    def execution_count(self, activity_id: str) -> int:
+        """How many times *activity_id* has completed
+        (:meth:`CerHistory.execution_count`)."""
+        return self.history().execution_count(activity_id)
 
     def cascade_signature_of(self, activity_id: str,
                              iteration: int) -> CER | None:
-        """The CER whose signature successors must countersign.
-
-        In the basic model that is the standard CER; in the advanced
-        model the TFC CER supersedes the intermediate one.
-        """
-        index = self.cer_index()
-        tfc = index.get((activity_id, iteration, KIND_TFC))
-        if tfc is not None:
-            return tfc
-        return index.get((activity_id, iteration, KIND_STANDARD))
+        """The CER whose signature successors must countersign
+        (:meth:`CerHistory.cascade_signature_of`)."""
+        return self.history().cascade_signature_of(activity_id, iteration)
 
     def pending_intermediate(self) -> list[CER]:
         """Intermediate CERs not yet finalised by a TFC server."""
-        index = self.cer_index()
-        return [
-            cer for cer in self.cers(include_definition=False)
-            if cer.kind == KIND_INTERMEDIATE
-            and (cer.activity_id, cer.iteration, KIND_TFC) not in index
-        ]
+        return self.history().pending_intermediate()
 
     def append_cer(self, cer: CER) -> None:
-        """Append a new CER, rejecting id collisions."""
-        existing = index_by_id(self.root)
+        """Append a new CER, rejecting id collisions.
+
+        The ids are checked against the :meth:`history` of the pass
+        that verified this document when it has one, which this only
+        reads (a receiver's kept pass holds the same index), and
+        against an index of the tree otherwise.
+        """
+        history = self._history
+        existing = (index_by_id(self.root) if history is None
+                    else history.ids)
         for elem in cer.element.iter():
             eid = elem.get(ID_ATTR)
             if eid is not None and eid in existing:
@@ -365,6 +372,7 @@ class Dra4wfmsDocument:
         # but of no sibling CER: their cached chunks stay valid.
         self._memo.discard(self.root)
         self._memo.discard(results)
+        self._history = None
         results.append(cer.element)
 
     # -- AND-join merge --------------------------------------------------------------
@@ -390,6 +398,7 @@ class Dra4wfmsDocument:
             if mine is None:
                 merged._memo.discard(merged.root)
                 merged._memo.discard(results)
+                merged._history = None
                 results.append(copy.deepcopy(cer.element))
             # Shared CERs must be byte-identical; both serializations
             # come from (and populate) the respective document's memo,

@@ -17,14 +17,20 @@ document — the recursive argument of §2.3.2.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 from .cer import CER
-from .document import Dra4wfmsDocument
 from ..errors import DocumentFormatError
 from ..xmlsec.xmldsig import pass_referenced_ids
 
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from .document import Dra4wfmsDocument
+
 __all__ = [
+    "add_signature_owners",
     "signature_owner_map",
     "signs_relation",
+    "relation_of",
     "nonrepudiation_scope",
     "nonrepudiation_scope_ids",
     "all_scopes",
@@ -36,8 +42,14 @@ __all__ = [
 
 def signature_owner_map(document: Dra4wfmsDocument) -> dict[str, CER]:
     """Map each signature element id to the CER owning it."""
-    owners: dict[str, CER] = {}
-    for cer in document.cers():
+    return add_signature_owners({}, document.cers())
+
+
+def add_signature_owners(owners: dict[str, CER],
+                         cers: list[CER]) -> dict[str, CER]:
+    """Add the signature id of each of *cers* to *owners*, rejecting a
+    duplicate."""
+    for cer in cers:
         sid = cer.signature_id
         if sid in owners:
             raise DocumentFormatError(f"duplicate signature id {sid!r}")
@@ -54,12 +66,14 @@ def signs_relation(document: Dra4wfmsDocument,
     timestamp, header…) are not part of the relation.  *memo*: see
     :func:`~repro.xmlsec.xmldsig.pass_references`.
     """
-    return _relation(document.cers(), signature_owner_map(document), memo)
+    cers = document.cers()
+    return relation_of(cers, add_signature_owners({}, cers), memo)
 
 
-def _relation(cers: list[CER], owners: dict[str, CER],
-              memo: dict | None) -> dict[str, set[str]]:
-    """:func:`signs_relation` of *cers*, given the signature owners."""
+def relation_of(cers: list[CER], owners: dict[str, CER],
+                memo: dict | None = None) -> dict[str, set[str]]:
+    """:func:`signs_relation` restricted to *cers*, given *owners*, the
+    CER of every signature id of the document."""
     relation: dict[str, set[str]] = {}
     for cer in cers:
         signed: set[str] = set()
@@ -119,23 +133,20 @@ def all_scopes(document: Dra4wfmsDocument,
     which on a malicious cycle falls back to a self-only scope instead
     of recursing forever (verification rejects such a document).
     """
-    return extend_scopes({}, document.cers(), signature_owner_map(document),
-                         memo)
+    return extend_scopes({}, signs_relation(document, memo))
 
 
-def extend_scopes(scopes: dict[str, set[str]], cers: list[CER],
-                  owners: dict[str, CER],
-                  memo: dict | None = None) -> dict[str, set[str]]:
-    """Add the scopes of *cers* to *scopes*, the scopes of the CERs
-    before them; *owners* maps every signature id of the document to
-    its CER (:func:`signature_owner_map`).
+def extend_scopes(scopes: dict[str, set[str]],
+                  relation: dict[str, set[str]]) -> dict[str, set[str]]:
+    """Add the scopes of the CERs *relation* holds (their part of the
+    signs relation, :func:`relation_of`) to *scopes*, the scopes of the
+    CERs before them.
 
     No earlier signature covers a CER appended after it, so appending
     CERs leaves the scopes of the earlier ones as they are: extending
     the scopes of a prefix by the CERs after it gives
     :func:`all_scopes` of the whole document.
     """
-    relation = _relation(cers, owners, memo)
     for cer_id in relation:
         _closure(cer_id, relation, scopes, set())
     return scopes
@@ -163,16 +174,10 @@ def frontier_cers(document: Dra4wfmsDocument) -> list[CER]:
     """CERs whose signature no other CER has countersigned yet.
 
     These are the "latest" results; the next activity's signature must
-    cover them to extend the cascade.
+    cover them to extend the cascade.  Read from the document's
+    :meth:`~repro.document.document.Dra4wfmsDocument.history`.
     """
-    relation = signs_relation(document)
-    signed_by_someone: set[str] = set()
-    for signed in relation.values():
-        signed_by_someone |= signed
-    return [
-        cer for cer in document.cers()
-        if cer.cer_id not in signed_by_someone
-    ]
+    return document.history().frontier()
 
 
 def covers_whole_document(document: Dra4wfmsDocument, alpha: CER) -> bool:

@@ -75,8 +75,9 @@ class KeptPasses:
     first out.  Thread-safe."""
 
     #: Kept documents.  The TFC drops a finished instance, an AEA cannot
-    #: tell, and a kept 64 KiB document holds about 0.4 MiB of live
-    #: objects the garbage collector walks.
+    #: tell, and a kept 64 KiB document (the final ``chain:16:4`` one)
+    #: holds about 0.42 MiB of live objects the garbage collector walks,
+    #: its pass's CER history included (tracemalloc).
     LIMIT = 2
 
     def __init__(self) -> None:

@@ -26,7 +26,9 @@ earlier version of the instance in full checks only the CERs appended
 since: the pass state of the kept version (id index, digests, signature
 owners, scopes, effective definition, timestamps, counts) answers for
 the prefix.  A cold pass is the same code resumed from the empty
-state.
+state.  Either way the pass hands on what it read of the CERs, a
+:class:`~repro.document.history.CerHistory`, with the document it
+accepted, for the rest of the hop to read instead of the tree.
 
 Every rejection raises :class:`~repro.errors.VerificationError`, as
 its subclass :class:`~repro.errors.TamperDetected` for cryptographic
@@ -47,7 +49,6 @@ from ..crypto.pki import KeyDirectory
 from ..crypto.pure.rsa import RsaPrivateKey, RsaPublicKey
 from ..errors import (
     CertificateError,
-    DocumentFormatError,
     ReproError,
     TamperDetected,
     VerificationError,
@@ -59,7 +60,8 @@ from ..xmlsec.xmldsig import (ID_ATTR, XmlSignature, index_by_id,
                               pass_referenced_ids)
 from .cer import CER, KIND_AMENDMENT
 from .document import Dra4wfmsDocument
-from .nonrepudiation import extend_scopes
+from .history import CerHistory
+from .nonrepudiation import add_signature_owners, extend_scopes, relation_of
 from .resume import KeptPass, KeptPasses
 from .vcache import VerificationCache
 from .sections import (
@@ -126,6 +128,10 @@ class VerificationReport:
     #: the bytes passed in.
     document: Dra4wfmsDocument | None = field(
         default=None, compare=False, repr=False)
+    #: What the pass read of the document's CERs, which the rest of the
+    #: hop reads instead of the tree (also ``document.history()``).
+    history: CerHistory | None = field(
+        default=None, compare=False, repr=False)
 
     def __bool__(self) -> bool:
         return True
@@ -140,7 +146,9 @@ class _PassState:
     index already holding the appended elements.
     """
 
-    id_index: dict[str, ET.Element] = field(default_factory=dict)
+    #: The id index, and the CERs checked so far with the rules over
+    #: them; extended by each pass's CERs once they are accepted.
+    history: CerHistory = field(default_factory=CerHistory)
     #: id(element) → canonical digest, id(signature) → parsed references
     #: (see :class:`~repro.xmlsec.digest.PassDigests`)
     digests: dict[int, bytes] = field(default_factory=dict)
@@ -163,7 +171,7 @@ class _PassState:
         """A state to extend without changing this one: a pass replaces
         ``digests`` and ``references`` and never mutates a scope set."""
         return _PassState(
-            dict(self.id_index), self.digests, self.references,
+            self.history.copy(), self.digests, self.references,
             dict(self.keys), dict(self.owners), dict(self.scopes),
             dict(self.timestamps), self.definition, self.signatures,
             self.cers, list(self.warnings),
@@ -399,13 +407,14 @@ def _resumed(kept: _PassState, appended: list[ET.Element],
         except ReproError:
             return None
     state = kept.copy()
+    ids = state.history.ids
     for cer in appended:
         for element in cer.iter():
             element_id = element.get(ID_ATTR)
             if element_id is not None:
-                if element_id in state.id_index:
+                if element_id in ids:
                     return None
-                state.id_index[element_id] = element
+                ids[element_id] = element
     return state
 
 
@@ -423,16 +432,17 @@ def _verify(document: Dra4wfmsDocument, state: _PassState | None,
         definition_checked=False, document=document,
     )
     cold = state is None
+    document._history = None  # until this pass accepts the document
     if cold:
         # (1) structure + unique ids
         try:
-            state = _PassState(id_index=index_by_id(document.root))
+            state = _PassState(CerHistory(ids=index_by_id(document.root)))
         except XmlSignatureError as exc:
             raise TamperDetected(str(exc)) from exc
     digests = PassDigests(document._memo)
     digests.update(state.digests)
     digests.references.update(state.references)
-    checker = _SignatureChecker(document, backend, state.id_index, cache,
+    checker = _SignatureChecker(document, backend, state.history.ids, cache,
                                 report, digests)
     if workers is not None and workers > 1:
         # Pre-verify every resolvable signature in one batch; outcomes
@@ -455,15 +465,11 @@ def _verify(document: Dra4wfmsDocument, state: _PassState | None,
     # The CERs this pass checks, in document order.
     cers = document.cers() if cold else [CER(node) for node in appended]
 
-    for cer in cers:
-        signature_id = cer.signature_id
-        if signature_id in state.owners:
-            raise DocumentFormatError(
-                f"duplicate signature id {signature_id!r}")
-        state.owners[signature_id] = cer
+    add_signature_owners(state.owners, cers)
     # Algorithm 1 over the new CERs (used by the cascade binding check
     # and timestamp monotonicity below).
-    extend_scopes(state.scopes, cers, state.owners, digests)
+    relation = relation_of(cers, state.owners, digests)
+    extend_scopes(state.scopes, relation)
 
     # (3)+(4) per-CER checks
     for cer in cers:
@@ -492,7 +498,9 @@ def _verify(document: Dra4wfmsDocument, state: _PassState | None,
     for cer in cers:
         _reject_unsigned_cer_content(cer)
 
+    state.history.extend(cers, relation)
     state.digests, state.references = digests, digests.references
+    document._history = report.history = state.history
     report.signatures_verified = state.signatures
     report.cers_checked = state.cers
     report.definition_checked = state.definition is not None
@@ -508,7 +516,8 @@ def _verify_designer(document: Dra4wfmsDocument, state: _PassState,
                      definition_reader: tuple[str, RsaPrivateKey] | None,
                      ) -> None:
     """Steps (1) and (2) of a cold pass, and the definition it reads."""
-    if HEADER_ID not in state.id_index or WFDEF_ID not in state.id_index:
+    ids = state.history.ids
+    if HEADER_ID not in ids or WFDEF_ID not in ids:
         raise VerificationError("header or definition section missing")
     version = document.root.get("Version")
     if version != "1.0":

@@ -10,9 +10,7 @@ Three pieces:
 * :class:`Tracer` — nested spans keyed by ``(instance, hop,
   component)``.  Span time comes from the tagged
   :class:`~repro.cloud.simclock.SimClock` charges (rounded to integer
-  microseconds), so the same seed produces a byte-identical trace;
-  host wall-time is an optional extra, never part of the deterministic
-  output.
+  microseconds), so the same seed produces a byte-identical trace.
 * :class:`MetricsRegistry` — counters / gauges / histograms
   (wire bytes, dedup hits, verify-cache hit rate, queue depths, …)
   with a JSON-safe :meth:`~MetricsRegistry.snapshot`.

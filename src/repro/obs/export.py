@@ -60,8 +60,6 @@ def to_chrome_trace(tracer: Tracer) -> dict[str, object]:
                 args["instance"] = span.instance
             if span.hop:
                 args["hop"] = span.hop
-            if span.wall_us is not None:
-                args["wall_us"] = span.wall_us
             events.append({
                 "ph": "B", "name": span.name,
                 "cat": span.component or "misc",

@@ -23,10 +23,6 @@ Spans inherit ``instance``/``hop``/``component`` context from their
 parent, so a ``portal.submit`` span opened deep inside a fleet hop still
 knows which instance and activity it serves.
 
-Host wall-time is opt-in (``Tracer(host_time=True)``): spans then also
-record their ``perf_counter`` duration, which is useful interactively
-and deliberately excluded from determinism comparisons.
-
 Cross-process merging: a pool worker's tracer serializes to a plain
 :meth:`payload` (tuples only) and the parent re-bases it with
 :meth:`absorb`, mirroring how worker charges merge through
@@ -35,7 +31,6 @@ Cross-process merging: a pool worker's tracer serializes to a plain
 
 from __future__ import annotations
 
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
@@ -101,8 +96,6 @@ class SpanRecord:
     end_us: int
     seq_open: int
     seq_close: int
-    #: Host wall-time duration; ``None`` unless ``host_time`` tracing.
-    wall_us: int | None = None
 
     @property
     def dur_us(self) -> int:
@@ -110,8 +103,7 @@ class SpanRecord:
 
     def to_tuple(self) -> tuple:
         return (self.name, self.component, self.instance, self.hop,
-                self.start_us, self.end_us, self.seq_open, self.seq_close,
-                self.wall_us)
+                self.start_us, self.end_us, self.seq_open, self.seq_close)
 
     @classmethod
     def from_tuple(cls, data: tuple) -> "SpanRecord":
@@ -126,7 +118,6 @@ class _OpenSpan:
     hop: str
     start_us: int
     seq_open: int
-    wall_start: float | None
 
 
 class Tracer:
@@ -138,10 +129,8 @@ class Tracer:
     metrics-only runs so both paths share one code path.
     """
 
-    def __init__(self, host_time: bool = False,
-                 metrics: "MetricsRegistry | None" = None,
+    def __init__(self, metrics: "MetricsRegistry | None" = None,
                  collect: bool = True) -> None:
-        self.host_time = host_time
         self.metrics = metrics
         self.collect = collect
         self._seq = 0
@@ -199,7 +188,6 @@ class Tracer:
             hop=hop if hop is not None else (parent.hop if parent else ""),
             start_us=self._now_us,
             seq_open=self._seq,
-            wall_start=time.perf_counter() if self.host_time else None,
         )
         self._stack.append(open_span)
         try:
@@ -208,11 +196,6 @@ class Tracer:
             popped = self._stack.pop()
             self._seq += 1
             if self.collect:
-                wall_us = None
-                if popped.wall_start is not None:
-                    wall_us = int(
-                        (time.perf_counter() - popped.wall_start) * 1e6
-                    )
                 self._spans.append(SpanRecord(
                     name=popped.name,
                     component=popped.component,
@@ -222,7 +205,6 @@ class Tracer:
                     end_us=self._now_us,
                     seq_open=popped.seq_open,
                     seq_close=self._seq,
-                    wall_us=wall_us,
                 ))
 
     # -- charges ------------------------------------------------------------
