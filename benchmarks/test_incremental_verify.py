@@ -135,28 +135,3 @@ def test_incremental_verify(benchmark, world, backend):
         return report
 
     benchmark.pedantic(warm_reverify, rounds=5, warmup_rounds=1)
-
-
-def test_parallel_cold_verify(world, backend):
-    """The thread-pool path: identical report, for the cold audits the
-    cache is forbidden for."""
-    documents = _hop_documents(world, backend, CHAIN_LENGTHS[-1])
-    final = documents[-1]
-
-    serial_start = time.perf_counter()
-    serial = verify_document(final, world.directory, backend)
-    serial_seconds = time.perf_counter() - serial_start
-
-    pooled_start = time.perf_counter()
-    pooled = verify_document(final, world.directory, backend, workers=4)
-    pooled_seconds = time.perf_counter() - pooled_start
-
-    assert pooled == serial
-    emit_table(
-        "parallel_verify",
-        "Cold whole-document verification: serial vs 4-thread pool",
-        ["signatures", "serial (ms)", "pooled (ms)"],
-        [[serial.signatures_verified,
-          f"{serial_seconds * 1000:.2f}",
-          f"{pooled_seconds * 1000:.2f}"]],
-    )

@@ -111,8 +111,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     document = _load_document(args.document)
     world = _load_world(args.world)
     try:
-        report = verify_document(document, world.directory,
-                                 workers=args.workers)
+        report = verify_document(document, world.directory)
     except ReproError as exc:
         print(f"INVALID: {type(exc).__name__}: {exc}")
         return 1
@@ -187,8 +186,7 @@ def cmd_evidence(args: argparse.Namespace) -> int:
     document = _load_document(args.document)
     world = _load_world(args.world)
     bundle = extract_evidence(document, world.directory,
-                              args.activity, args.iteration,
-                              workers=args.workers)
+                              args.activity, args.iteration)
     print(bundle.render_report())
     return 0 if bundle.document_valid else 1
 
@@ -254,7 +252,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
             loops=args.loops,
             audit_every=args.audit_every,
             delta_routing=delta,
-            verify_workers=args.verify_workers,
             portals=args.portals,
             placement=args.placement,
             chunk_replicas=args.replication,
@@ -289,7 +286,6 @@ def cmd_loadtest(args: argparse.Namespace) -> int:
         think_seconds=args.think,
         tfc_workers=args.tfc_workers,
         audit_every=args.audit_every,
-        verify_workers=args.verify_workers,
         tracer=tracer,
         collect_metrics=args.metrics,
         gc_interval=args.gc_interval,
@@ -371,9 +367,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("document")
     verify.add_argument("--world", required=True,
                         help="world.json with the PKI")
-    verify.add_argument("--workers", type=int, default=None,
-                        help="fan independent signature checks across "
-                             "N threads (long cascades)")
     verify.set_defaults(func=cmd_verify)
 
     archive = sub.add_parser(
@@ -482,10 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--workers", type=int, default=1,
                           help="worker processes for --real (aggregates "
                                "are identical for any worker count)")
-    loadtest.add_argument("--verify-workers", type=int, default=None,
-                          help="threads for batched RSA verification "
-                               "inside portals/TFC/audits (batching is on "
-                               "when above 1)")
     loadtest.add_argument("--json", action="store_true",
                           help="emit the full report as JSON")
     loadtest.add_argument("--trace", metavar="OUT.json", default=None,
@@ -514,9 +503,6 @@ def build_parser() -> argparse.ArgumentParser:
     evidence.add_argument("--world", required=True)
     evidence.add_argument("--activity", required=True)
     evidence.add_argument("--iteration", type=int, default=0)
-    evidence.add_argument("--workers", type=int, default=None,
-                          help="thread-pool size for the cold audit "
-                               "verification")
     evidence.set_defaults(func=cmd_evidence)
 
     return parser

@@ -68,8 +68,7 @@ class PortalServer:
                  clock: SimClock,
                  network: NetworkModel = WAN,
                  backend: CryptoBackend | None = None,
-                 verify_cache: VerificationCache | None = None,
-                 verify_workers: int | None = None) -> None:
+                 verify_cache: VerificationCache | None = None) -> None:
         self.portal_id = portal_id
         self.pool = pool
         self.directory = directory
@@ -82,9 +81,6 @@ class PortalServer:
         #: it (and the TFC's) so a document verified at any front door
         #: costs only its new CERs at the next.  ``None`` → cold.
         self.verify_cache = verify_cache
-        #: Batched RSA verification threads forwarded to
-        #: :func:`verify_document` (see its *workers* docs).
-        self.verify_workers = verify_workers
         self._challenges: dict[str, bytes] = {}
         self._sessions: dict[str, Session] = {}
         self.stats = {"logins": 0, "searches": 0, "retrievals": 0,
@@ -223,7 +219,6 @@ class PortalServer:
                         definition_reader=(self.tfc.identity,
                                            self.tfc.keypair.private_key),
                         cache=self.verify_cache,
-                        workers=self.verify_workers,
                     ).definition
             except ReproError as exc:
                 self.stats["rejected"] += 1

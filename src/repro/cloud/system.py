@@ -64,7 +64,6 @@ class CloudSystem:
                  verify_cache: VerificationCache | None = None,
                  clock: SimClock | None = None,
                  delta_routing: bool = False,
-                 verify_workers: int | None = None,
                  placement: str = "round-robin",
                  placement_vnodes: int | None = None,
                  chunk_replicas: int | None = None,
@@ -97,10 +96,6 @@ class CloudSystem:
         #: newly appended CERs anywhere else in the cloud.  ``None``
         #: (default) keeps every verification cold.
         self.verify_cache = verify_cache
-        #: Batched RSA verification shared by this cloud's TFC and
-        #: portals: *verify_workers* > 1 threads independent RSA checks.
-        #: Accept/reject behaviour is unchanged either way.
-        self.verify_workers = verify_workers
         #: LRU byte budget for every client's peer chunk cache (delta
         #: mode).  ``None`` (default) keeps the historic unbounded
         #: cache; 0 is a degenerate-but-legal budget (the cache still
@@ -127,7 +122,6 @@ class CloudSystem:
             tfc_keypair, directory, backend=self.backend,
             clock=self.clock.now,
             verify_cache=verify_cache,
-            verify_workers=verify_workers,
         )
         self.portals = [
             PortalServer(
@@ -140,7 +134,6 @@ class CloudSystem:
                 network=WAN,
                 backend=self.backend,
                 verify_cache=verify_cache,
-                verify_workers=verify_workers,
             )
             for i in range(portals)
         ]

@@ -20,7 +20,6 @@ from .aea import (
     Responder,
 )
 from .monitor import ActivityStats, WorkflowMonitor
-from .parallel import ThreadedRuntime
 from .router import RoutingDecision, cascade_targets, check_join_ready, route_after
 from .runtime import ExecutionTrace, InMemoryRuntime, StepTrace
 from .state import ExecutionStatus, VariableView, execution_status
@@ -46,7 +45,6 @@ __all__ = [
     "TfcRecord",
     "TfcResult",
     "TfcServer",
-    "ThreadedRuntime",
     "VariableView",
     "WorkflowMonitor",
     "cascade_targets",

@@ -19,7 +19,7 @@ integrity evidence from confidentiality that §2.3 is about.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..crypto.backend import CryptoBackend, default_backend
 from ..crypto.pki import Certificate, KeyDirectory
@@ -93,15 +93,11 @@ def extract_evidence(
     activity_id: str,
     iteration: int = 0,
     backend: CryptoBackend | None = None,
-    workers: int | None = None,
 ) -> EvidenceBundle:
     """Build the evidence bundle for one contested activity execution.
 
-    The verification here is always **cold** — an arbitrator must not
-    rely on anyone's cached trust — but *workers* may fan the
-    independent RSA checks of a long cascade across a thread pool,
-    since a dispute audit is exactly the offline, whole-history verify
-    the pool was built for.
+    The verification here is always **cold**: an arbitrator must not
+    rely on anyone's cached trust.
     """
     backend = backend or default_backend()
     cer = (document.find_cer(activity_id, iteration, KIND_STANDARD)
@@ -113,7 +109,7 @@ def extract_evidence(
 
     valid, detail = True, "all signatures verified"
     try:
-        verify_document(document, directory, backend, workers=workers)
+        verify_document(document, directory, backend)
     except ReproError as exc:
         valid, detail = False, f"{type(exc).__name__}: {exc}"
 

@@ -138,9 +138,6 @@ class ProcessExecution:
     for the next queued delivery and returns its :class:`StepTrace`, or
     ``None`` once the instance has run to completion; executions can be
     interleaved by round-robining :meth:`step` across them.
-    :meth:`receive_wave` instead receives everything queued at once,
-    so a scheduler can execute the ready activities concurrently (see
-    :class:`~repro.core.parallel.ThreadedRuntime`).
     """
 
     def __init__(self,
@@ -196,20 +193,13 @@ class ProcessExecution:
             ready = self.receive(self._queue.popleft())
             if ready is not None:
                 return self.finish(ready, self.execute(ready))
-        self._check_joins_drained()
+        leftover = {aid: len(docs)
+                    for aid, docs in self._join_buffers.items() if docs}
+        if leftover:
+            raise RuntimeFault(
+                f"process ended with unsatisfied AND-joins: {leftover}"
+            )
         return None
-
-    def receive_wave(self) -> list[_Ready]:
-        """Receive every queued delivery; the activities now ready.
-
-        An empty wave means the process is done.
-        """
-        deliveries, self._queue = self._queue, deque()
-        wave = [ready for ready in map(self.receive, deliveries)
-                if ready is not None]
-        if not wave:
-            self._check_joins_drained()
-        return wave
 
     def receive(self, delivery: _Delivery) -> _Ready | None:
         """Take one delivery; ``None`` while its AND-join still waits."""
@@ -246,11 +236,7 @@ class ProcessExecution:
         )
 
     def execute(self, ready: _Ready) -> AeaResult:
-        """Run a ready activity in its participant's AEA.
-
-        Touches no execution state, so the activities of one wave may
-        execute concurrently.
-        """
+        """Run a ready activity in its participant's AEA."""
         tfc = self.runtime.tfc if self.mode == "advanced" else None
         return ready.agent.execute_activity(
             ready.document, ready.activity.activity_id, ready.responder,
@@ -295,16 +281,6 @@ class ProcessExecution:
             self._queue.append(self.runtime.package(
                 self.definition, next_activity, document))
         return step_trace
-
-    def _check_joins_drained(self) -> None:
-        leftover = {
-            aid: len(docs)
-            for aid, docs in self._join_buffers.items() if docs
-        }
-        if leftover:
-            raise RuntimeFault(
-                f"process ended with unsatisfied AND-joins: {leftover}"
-            )
 
 
 class InMemoryRuntime:

@@ -91,8 +91,7 @@ class TfcServer:
                  clock: Callable[[], float] | None = None,
                  keep_copies: bool = True,
                  trusted_tfcs: set[str] | None = None,
-                 verify_cache: VerificationCache | None = None,
-                 verify_workers: int | None = None) -> None:
+                 verify_cache: VerificationCache | None = None) -> None:
         self.keypair = keypair
         self.directory = directory
         self.backend = backend or default_backend()
@@ -116,9 +115,6 @@ class TfcServer:
         #: from there: only the CERs appended since are parsed and
         #: checked.  This server's own history, never shared.
         self.kept_passes = None if verify_cache is None else KeptPasses()
-        #: Batched RSA verification threads forwarded to
-        #: :func:`verify_document` (see its *workers* docs).
-        self.verify_workers = verify_workers
         #: TFC identities whose CERs this server accepts in incoming
         #: documents.  Cross-enterprise deployments run one TFC per
         #: enterprise (Fig. 6 shows a TFC per hop); list the federation
@@ -173,7 +169,6 @@ class TfcServer:
                 definition_reader=(self.identity, self.keypair.private_key),
                 tfc_identities=self.trusted_tfcs,
                 cache=self.verify_cache,
-                workers=self.verify_workers,
                 kept=self.kept_passes,
             )
             document, definition = report.document, report.definition

@@ -65,14 +65,12 @@ class CryptoBackend(Protocol):
 
     def verify_batch(self, jobs: "list[VerifyJob]",
                      workers: int | None = None) -> list[Exception | None]:
-        """Verify many signatures in one dispatch.
+        """Verify many signatures, in order, on the calling thread.
 
         Returns one entry per job, in job order: ``None`` for a valid
-        signature, the verification exception otherwise.  Never raises
-        for an invalid signature — batching must not change *which*
-        failure a caller surfaces, so every outcome is reported in
-        place.  *workers* is a hint: implementations may fan the
-        independent checks across that many threads.
+        signature, the verification exception otherwise.  *workers* is
+        accepted and ignored.  Nothing in ``repro`` calls this; it stays
+        for wrappers that delegate it (``perfbench/layers.py``).
         """
 
     def wrap_key(self, key: RsaPublicKey, data_key: bytes) -> bytes:
@@ -140,9 +138,6 @@ class PureBackend:
 
     def verify_batch(self, jobs: list[VerifyJob],
                      workers: int | None = None) -> list[Exception | None]:
-        # Pure-Python modular exponentiation holds the GIL, so threads
-        # cannot help; the batch degrades to an in-order loop with the
-        # same per-job outcome contract.
         return sequential_verify_batch(self, jobs)
 
     def wrap_key(self, key: RsaPublicKey, data_key: bytes) -> bytes:
@@ -192,7 +187,7 @@ def _verify_one(backend: CryptoBackend, job: VerifyJob) -> Exception | None:
 
 def sequential_verify_batch(backend: CryptoBackend,
                             jobs: list[VerifyJob]) -> list[Exception | None]:
-    """Reference batch implementation: in-order, one check per job."""
+    """The one batch implementation: in order, one check per job."""
     return [_verify_one(backend, job) for job in jobs]
 
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import hmac as _hmac
 import os
-from concurrent.futures import ThreadPoolExecutor
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives import hashes
@@ -20,6 +19,7 @@ from cryptography.hazmat.primitives.asymmetric import padding, rsa
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from ..errors import DecryptionError, KeyError_, SignatureError
+from .backend import sequential_verify_batch
 from .pure.rsa import RsaPrivateKey, RsaPublicKey
 
 __all__ = ["FastBackend"]
@@ -118,18 +118,7 @@ class FastBackend:
             raise SignatureError("PSS signature does not verify") from exc
 
     def verify_batch(self, jobs, workers=None):
-        from .backend import _verify_one
-
-        # Convert every key up front on the calling thread: the memo
-        # dicts are only GIL-safe, and a warm cache means the pooled
-        # checks below go straight into OpenSSL (which releases the GIL
-        # for the modular exponentiation — threads genuinely overlap).
-        for public_key, _, _, _ in jobs:
-            self._pub(public_key)
-        if workers is None or workers <= 1 or len(jobs) <= 1:
-            return [_verify_one(self, job) for job in jobs]
-        with ThreadPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
-            return list(pool.map(lambda job: _verify_one(self, job), jobs))
+        return sequential_verify_batch(self, jobs)
 
     def wrap_key(self, key: RsaPublicKey, data_key: bytes) -> bytes:
         return self._pub(key).encrypt(data_key, padding.PKCS1v15())

@@ -41,10 +41,9 @@ from __future__ import annotations
 
 import functools
 import xml.etree.ElementTree as ET
-from contextlib import suppress
 from dataclasses import dataclass, field
 
-from ..crypto.backend import CryptoBackend, VerifyJob, default_backend
+from ..crypto.backend import CryptoBackend, default_backend
 from ..crypto.pki import KeyDirectory
 from ..crypto.pure.rsa import RsaPrivateKey, RsaPublicKey
 from ..errors import (
@@ -188,15 +187,10 @@ def _resolve_key(directory: KeyDirectory, identity: str):
 
 
 class _SignatureChecker:
-    """Runs the cryptographic signature checks for one verification.
-
-    Wraps the three execution strategies behind one ``verify`` call:
-    plain sequential checking, cache-backed incremental checking (skip
-    the RSA work for byte-identical, previously verified signatures),
-    and a thread-pool pre-pass that fans independent checks across
-    workers for cold verifies.  Structural checks are untouched — only
-    the expensive cryptographic step is cached or parallelised.
-    """
+    """Runs the cryptographic signature checks for one verification, in
+    document order: cold, or through the opt-in cache, which skips the
+    RSA work for byte-identical, previously verified signatures.
+    Structural checks are untouched — only the RSA step is cached."""
 
     def __init__(self, document: Dra4wfmsDocument, backend: CryptoBackend,
                  id_index, cache: VerificationCache | None,
@@ -206,100 +200,31 @@ class _SignatureChecker:
         self.id_index = id_index
         self.cache = cache
         self.report = report
-        #: signature id → ("hit" | "fresh", exception or None)
-        self._memo: dict[str, tuple[str, XmlSignatureError | None]] = {}
         #: element identity → canonical digest, scoped to this pass
         #: (predecessor signatures are referenced by every successor).
         #: Records each digested element's text on the document's memo
         #: and holds each signature's one parse of its references.
         self.digests = digests
 
-    def prefetch(self, pairs: list[tuple[XmlSignature, RsaPublicKey]],
-                 workers: int | None) -> None:
-        """Pre-verify *pairs* in one batch, memoising per-signature outcomes.
-
-        The digest phase (reference comparisons, structural checks) runs
-        sequentially — it is cheap and shares the digest memo without
-        contention — then every surviving RSA check goes through a
-        single :meth:`~repro.crypto.backend.CryptoBackend.verify_batch`
-        call, which the backend may fan across *workers* threads.
-
-        Failures are *not* raised here: the sequential pass re-raises
-        them at the same point in document order a serial verification
-        would, so error reporting is identical with and without the
-        batch.
-        """
-        rsa_jobs: list[VerifyJob] = []
-        pending: list[tuple[str, XmlSignature, bytes | None]] = []
-        for signature, public_key in pairs:
-            sid = signature.element.get(ID_ATTR)
-            if sid is None or sid in self._memo:
-                continue
-            key = None
-            if self.cache is not None:
-                key = self.cache.key_for(signature, public_key,
-                                         self.id_index, self.digests)
-                if key is not None and self.cache.seen(key):
-                    self._memo[sid] = ("hit", None)
-                    continue
-            try:
-                message, sig_value, mode = signature.prepare_verify(
-                    self.root, self.backend, self.id_index,
-                    digest_memo=self.digests,
-                )
-            except XmlSignatureError as exc:
-                self._memo[sid] = ("fresh", exc)
-                continue
-            rsa_jobs.append((public_key, message, sig_value, mode))
-            pending.append((sid, signature, key))
-        if not rsa_jobs:
-            return
-        results = self.backend.verify_batch(rsa_jobs, workers=workers)
-        for (sid, signature, key), error in zip(pending, results):
-            if error is None:
-                self._memo[sid] = ("fresh", None)
-                if key is not None:
-                    self.cache.record(key)
-            else:
-                self._memo[sid] = ("fresh",
-                                   signature.wrap_rsa_failure(error))
-
     def verify(self, signature: XmlSignature,
                public_key: RsaPublicKey) -> None:
-        """Check one signature, consulting the memo and cache first.
+        """Check one signature, consulting the cache first.
 
         Raises :class:`~repro.errors.XmlSignatureError` exactly as
         :meth:`XmlSignature.verify` would.
         """
-        sid = signature.element.get(ID_ATTR)
-        outcome = self._memo.pop(sid, None) if sid is not None else None
-        if outcome is None:
-            outcome = self._check(signature, public_key)
-        kind, error = outcome
-        if self.cache is not None:
-            if kind == "hit":
-                self.report.cache_hits += 1
-            else:
-                self.report.cache_misses += 1
-        if error is not None:
-            raise error
-
-    def _check(self, signature: XmlSignature, public_key: RsaPublicKey,
-               ) -> tuple[str, XmlSignatureError | None]:
         key = None
         if self.cache is not None:
             key = self.cache.key_for(signature, public_key,
                                      self.id_index, self.digests)
             if key is not None and self.cache.seen(key):
-                return ("hit", None)
-        try:
-            signature.verify(public_key, self.root, self.backend,
-                             self.id_index, digest_memo=self.digests)
-        except XmlSignatureError as exc:
-            return ("fresh", exc)
+                self.report.cache_hits += 1
+                return
+            self.report.cache_misses += 1
+        signature.verify(public_key, self.root, self.backend,
+                         self.id_index, digest_memo=self.digests)
         if key is not None:
             self.cache.record(key)
-        return ("fresh", None)
 
 
 def _rejecting(verify):
@@ -324,7 +249,6 @@ def verify_document(
     definition_reader: tuple[str, RsaPrivateKey] | None = None,
     tfc_identities: set[str] | None = None,
     cache: VerificationCache | None = None,
-    workers: int | None = None,
     kept: KeptPasses | None = None,
 ) -> VerificationReport:
     """Verify *document* end to end.
@@ -358,15 +282,6 @@ def verify_document(
         structural check still runs; any byte-level change misses the
         cache and takes the full cryptographic path.  Omit for a cold
         (trust-nothing) verification — the default.
-    workers:
-        When > 1, every fresh RSA check goes through one
-        :meth:`~repro.crypto.backend.CryptoBackend.verify_batch`
-        dispatch, which fans them across a thread pool of this size
-        (useful for cold auditor/offline verifies of long cascades).
-        Verdicts, failing-CER attribution, and cache accounting are
-        identical to the sequential path (the differential suite in
-        ``tests/document/test_batch_differential`` pins this): the
-        first failure in document order is raised.
     kept:
         The receiver's own :class:`~repro.document.resume.KeptPasses`,
         used for bytes only.  Bytes that extend a document kept there
@@ -379,7 +294,7 @@ def verify_document(
     """
     backend = backend or default_backend()
     options = (directory, backend, definition, definition_reader,
-               tfc_identities, cache, workers)
+               tfc_identities, cache)
     if not isinstance(document, bytes) or kept is None:
         if isinstance(document, bytes):
             document = Dra4wfmsDocument.from_bytes(document)
@@ -424,7 +339,7 @@ def _verify(document: Dra4wfmsDocument, state: _PassState | None,
             backend: CryptoBackend, definition: WorkflowDefinition | None,
             definition_reader: tuple[str, RsaPrivateKey] | None,
             tfc_identities: set[str] | None,
-            cache: VerificationCache | None, workers: int | None,
+            cache: VerificationCache | None,
             ) -> tuple[VerificationReport, _PassState]:
     """One pass: cold when *state* is ``None``, else over *appended*."""
     report = VerificationReport(
@@ -444,20 +359,6 @@ def _verify(document: Dra4wfmsDocument, state: _PassState | None,
     digests.references.update(state.references)
     checker = _SignatureChecker(document, backend, state.history.ids, cache,
                                 report, digests)
-    if workers is not None and workers > 1:
-        # Pre-verify every resolvable signature in one batch; outcomes
-        # surface below at the same point serial verification would
-        # reach them.  Unresolvable signers/signatures are left for the
-        # sequential pass so their errors keep their document position.
-        pairs: list[tuple[XmlSignature, RsaPublicKey]] = []
-        with suppress(ReproError):
-            for cer in (document.cers() if cold
-                        else map(CER, appended)):
-                with suppress(ReproError):
-                    signature = cer.signature
-                    pairs.append((signature,
-                                  directory.public_key_of(signature.signer)))
-        checker.prefetch(pairs, workers)
     report.process_id = document.process_id
     if cold:
         _verify_designer(document, state, directory, checker, backend,

@@ -69,8 +69,7 @@ TFC_IDENTITY = "tfc@cloud.example"
 _STAGE_ORDER = ("portal", "pool", "notify")
 
 
-def audit_failed(system: CloudSystem, process_id: str,
-                 workers: int | None) -> bool:
+def audit_failed(system: CloudSystem, process_id: str) -> bool:
     """Cold full-cascade re-verification of one finished instance.
 
     True when the verifier rejects the pooled document.  Only a verdict
@@ -84,7 +83,6 @@ def audit_failed(system: CloudSystem, process_id: str,
             document, system.directory, system.backend,
             definition_reader=(system.tfc.identity,
                                system.tfc.keypair.private_key),
-            workers=workers,
         )
     except ReproError:
         return True
@@ -107,10 +105,6 @@ class FleetConfig:
     aea_workers: int = 1
     #: Cold-re-verify every Nth completed instance (0 disables).
     audit_every: int = 25
-    #: Threads for batched RSA verification in audits and the cloud's
-    #: TFC/portal verifies (see :func:`verify_document`).  ``None``
-    #: keeps the sequential path.
-    verify_workers: int | None = None
     costs: CryptoCostModel = field(default_factory=CryptoCostModel)
     #: Hard stop against runaway event loops.
     max_events: int = 5_000_000
@@ -559,8 +553,7 @@ class Fleet:
         self._audited += 1
         with self._span("audit", component="crypto",
                         instance=instance.process_id):
-            if audit_failed(self.system, instance.process_id,
-                            self.config.verify_workers):
+            if audit_failed(self.system, instance.process_id):
                 self._audit_failures += 1
 
     # -- main loop ------------------------------------------------------------
@@ -771,7 +764,6 @@ def build_fleet(workload: FleetWorkload,
         backend=world.backend,
         verify_cache=VerificationCache() if shared_cache else None,
         delta_routing=delta_routing,
-        verify_workers=config.verify_workers,
         placement=placement,
         chunk_replicas=chunk_replicas,
         split_threshold_rows=split_threshold_rows,

@@ -32,9 +32,7 @@ Design constraints that shape the code:
 
 The audit hook cold-verifies every ``audit_every``-th instance *by
 index* (the simulated fleet audits by completion order, which is not
-stable under real concurrency) with ``verify_workers`` threads, so
-``--real`` load tests exercise ``verify_batch()`` under true
-parallelism.
+stable under real concurrency).
 """
 
 from __future__ import annotations
@@ -75,8 +73,6 @@ class RealFleetConfig:
     audit_every: int = 25
     #: Delta document routing inside each instance's cloud.
     delta_routing: bool = False
-    #: Threads for batched RSA verification (see :func:`verify_document`).
-    verify_workers: int | None = None
     #: RSA modulus for the generated world (when none is supplied).
     bits: int = 1024
     #: Portals / region servers per per-instance cloud.
@@ -156,7 +152,6 @@ def _run_instance(index: int) -> InstanceResult:
         backend=world.backend,
         verify_cache=VerificationCache(),
         delta_routing=config.delta_routing,
-        verify_workers=config.verify_workers,
         placement=config.placement,
         chunk_replicas=config.chunk_replicas,
         split_threshold_rows=config.split_threshold_rows,
@@ -191,8 +186,7 @@ def _run_instance(index: int) -> InstanceResult:
             process_id, workload.responders,
         )
         audited = bool(config.audit_every) and index % config.audit_every == 0
-        failed = audited and audit_failed(system, process_id,
-                                          config.verify_workers)
+        failed = audited and audit_failed(system, process_id)
     return InstanceResult(
         index=index,
         process_id=process_id,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from ..crypto.backend import CryptoBackend, default_backend
 from ..crypto.pure.rsa import RsaPrivateKey, RsaPublicKey
-from ..errors import XmlSignatureError
+from ..errors import ReproError, XmlSignatureError
 from .canonical import canonicalize
 from .digest import PassDigests, b64, digest_element, pass_digest, unb64
 
@@ -160,20 +160,18 @@ class XmlSignature:
 
     # -- verification ----------------------------------------------------------
 
-    def prepare_verify(self, root: ET.Element,
-                       backend: CryptoBackend | None = None,
-                       id_index: dict[str, ET.Element] | None = None,
-                       digest_memo: dict[int, bytes] | None = None,
-                       ) -> tuple[bytes, bytes, str]:
-        """Run every non-RSA check; return the pending RSA job.
+    def verify(self, public_key: RsaPublicKey, root: ET.Element,
+               backend: CryptoBackend | None = None,
+               id_index: dict[str, ET.Element] | None = None,
+               digest_memo: dict[int, bytes] | None = None) -> None:
+        """Verify this signature against the document rooted at *root*.
 
-        Performs the reference digest comparisons and structural checks
-        of :meth:`verify` and returns ``(message, signature, algorithm)``
-        — the canonical ``SignedInfo`` bytes, the raw signature value,
-        and ``"pkcs1v15"``/``"pss"`` — ready for a (possibly batched)
-        RSA check.  Raises :class:`XmlSignatureError` exactly where
-        :meth:`verify` would; splitting the phases changes *when* the
-        RSA work runs, never which failure surfaces.
+        Checks (1) that every referenced element's current digest equals
+        the signed digest, and (2) the RSA signature over the canonical
+        ``SignedInfo``.  Raises :class:`XmlSignatureError` on failure; an
+        exception from the backend that is not a
+        :class:`~repro.errors.ReproError` is a crash, not a verdict, and
+        propagates as it is.
 
         *digest_memo* maps ``id(element)`` to its already-computed
         digest.  Cascaded signatures reference overlapping element sets,
@@ -208,48 +206,15 @@ class XmlSignature:
                 f"unsupported SignatureMethod {algorithm!r} "
                 f"(supported: {', '.join(_SUPPORTED_ALGORITHMS)})"
             )
-        mode = "pss" if algorithm == ALG_PSS else "pkcs1v15"
-        return canonicalize(signed_info), self.signature_value, mode
-
-    def wrap_rsa_failure(self, exc: Exception) -> XmlSignatureError:
-        """The exception :meth:`verify` raises for an RSA failure *exc*.
-
-        Exposed so a batched verifier reports byte-identical errors:
-        ``XmlSignatureError`` passes through unchanged (mirroring the
-        re-raise in :meth:`verify`), anything else is wrapped with the
-        same message and cause chain.
-        """
-        if isinstance(exc, XmlSignatureError):
-            return exc
-        wrapped = XmlSignatureError(
-            f"RSA signature of {self.signature_id!r} invalid: {exc}"
-        )
-        wrapped.__cause__ = exc
-        return wrapped
-
-    def verify(self, public_key: RsaPublicKey, root: ET.Element,
-               backend: CryptoBackend | None = None,
-               id_index: dict[str, ET.Element] | None = None,
-               digest_memo: dict[int, bytes] | None = None) -> None:
-        """Verify this signature against the document rooted at *root*.
-
-        Checks (1) that every referenced element's current digest equals
-        the signed digest, and (2) the RSA signature over the canonical
-        ``SignedInfo``.  Raises :class:`XmlSignatureError` on failure.
-        See :meth:`prepare_verify` for the *digest_memo* contract.
-        """
-        backend = backend or default_backend()
-        message, signature, mode = self.prepare_verify(
-            root, backend, id_index, digest_memo
-        )
+        message, signature = canonicalize(signed_info), self.signature_value
         try:
-            if mode == "pss":
+            if algorithm == ALG_PSS:
                 backend.verify_pss(public_key, message, signature)
             else:
                 backend.verify(public_key, message, signature)
         except XmlSignatureError:
             raise
-        except Exception as exc:
+        except ReproError as exc:
             raise XmlSignatureError(
                 f"RSA signature of {self.signature_id!r} invalid: {exc}"
             ) from exc

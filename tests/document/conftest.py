@@ -1,10 +1,10 @@
 """Shared document-suite fixtures: pristine runs and replay siblings.
 
-The tamper matrix (``test_tamper_matrix.py``) and the batched-
-verification differential suite (``test_batch_differential.py``) both
-replay the mutation registry in :mod:`tamper_cases`; the executed
-documents and replay-donor siblings they mutate live here so the two
-suites attack byte-identical inputs.
+The tamper matrix (``test_tamper_matrix.py``), the verification-memo
+suite (``test_verify_memo.py``) and the resumed-verification suite
+(``test_resumed_verify.py``) replay the mutation registry in
+:mod:`tamper_cases`; the executed documents and replay-donor siblings
+they mutate live here so the suites attack byte-identical inputs.
 """
 
 from __future__ import annotations

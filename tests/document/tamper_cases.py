@@ -1,13 +1,13 @@
-"""The tamper-matrix case registry, shared by two suites.
+"""The tamper-matrix case registry, shared by several suites.
 
 Each :class:`TamperCase` is one adversarial mutation of a fully
 executed document: sections × mutation kinds, exactly the sweep
 ``test_tamper_matrix.py`` runs against the verification cache.  The
-cases live here — not inline in that module — so the batched-
-verification differential suite (``test_batch_differential.py``) can
-replay the *same* attacks and assert that batched RSA verification
-reaches the same verdict, with the same failing-signature attribution,
-as the sequential path.
+cases live here — not inline in that module — so the verification-memo
+and resumed-verification suites (``test_verify_memo.py``,
+``test_resumed_verify.py``) can replay the *same* attacks and assert
+the same verdict, with the same failing-signature attribution, as a
+cold pass.
 
 Besides those attacks, the registry holds malformed structure — a
 signature, reference or CER missing a required part, undecodable

@@ -124,10 +124,3 @@ class TestBackendIndependentKeys:
                         cache=cache_fast)
         assert set(cache_pure._entries) == set(cache_fast._entries)
         assert len(cache_pure._entries) == CHAIN + 1
-
-    def test_parallel_cold_verify_matches(self, fast_signed_doc, world,
-                                          backend):
-        serial = verify_document(fast_signed_doc, world.directory, backend)
-        pooled = verify_document(fast_signed_doc, world.directory, backend,
-                                 workers=4)
-        assert pooled == serial

@@ -17,8 +17,8 @@ advanced model — TFC timestamp) apply each mutation kind:
   loosely.
 
 The mutations themselves live in the :mod:`tamper_cases` registry
-(shared with the batched-verification differential suite).  Every
-mutation must be rejected twice: by a cold verification and by a
+(shared with the verification-memo and resumed-verification suites).
+Every mutation must be rejected twice: by a cold verification and by a
 verification running against a cache **pre-warmed on the pristine
 document** — with the *same* exception type and message.  A cache hit
 on any tampered content would be a security hole, so these tests are

@@ -9,10 +9,10 @@ Two guarantees anchor the multiprocess execution path:
    all instances or several split them.  Only host measurements
    (wall seconds, cpu count) may differ.
 
-2. **The simulated fleet is untouched.**  Real mode, batched
-   verification and the chunker memoisation must not change a single
-   byte of the discrete-event :class:`FleetReport` — pinned here
-   against committed golden files from the run that introduced them.
+2. **The simulated fleet is untouched.**  Real mode and the chunker
+   memoisation must not change a single byte of the discrete-event
+   :class:`FleetReport` — pinned here against committed golden files
+   from the run that introduced them.
 """
 
 from __future__ import annotations
@@ -98,13 +98,6 @@ class TestWorkerCountIndependence:
         pooled = run_real(2, real_world, delta_routing=True)
         assert serial.deterministic_dict() == pooled.deterministic_dict()
         assert serial.routing == "delta"
-
-    def test_batched_verification_same_aggregates(self, real_world,
-                                                  serial_and_pooled):
-        """Batched RSA verification changes no deterministic quantity."""
-        serial, _ = serial_and_pooled
-        batched = run_real(2, real_world, verify_workers=2)
-        assert batched.deterministic_dict() == serial.deterministic_dict()
 
 
 class TestAuditVerdicts:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core import InMemoryRuntime, TfcServer
-from repro.core.parallel import ThreadedRuntime
 from repro.document import build_initial_document
 from repro.document.verify import verify_document
 from repro.workloads import build_world
@@ -46,7 +45,7 @@ def delta_world(backend):
 
 
 def _run(delta_world, backend, definition, mode, *, delta_routing,
-         runtime_cls=InMemoryRuntime, loop_iterations=1):
+         loop_iterations=1):
     initial = build_initial_document(
         definition, delta_world.keypair(DESIGNER), backend=backend
     )
@@ -54,9 +53,9 @@ def _run(delta_world, backend, definition, mode, *, delta_routing,
     if mode == "advanced":
         tfc = TfcServer(delta_world.keypair(TFC_IDENTITY),
                         delta_world.directory, backend=backend)
-    runtime = runtime_cls(delta_world.directory, delta_world.keypairs,
-                          tfc=tfc, backend=backend,
-                          delta_routing=delta_routing)
+    runtime = InMemoryRuntime(delta_world.directory, delta_world.keypairs,
+                              tfc=tfc, backend=backend,
+                              delta_routing=delta_routing)
     trace = runtime.run(
         initial, definition,
         auto_responders(definition, loop_iterations=loop_iterations),
@@ -176,18 +175,3 @@ class TestStructuredTopologies:
                                    delta_routing=True)
         assert_hops_cold_verify(initial, trace, delta_world, backend,
                                 tfc=tfc)
-
-
-class TestThreadedRuntime:
-    def test_delta_threaded_matches_sequential_shape(self, delta_world,
-                                                     backend):
-        definition = diamond_definition(4, POOL, designer=DESIGNER)
-        initial, threaded, _ = _run(delta_world, backend, definition,
-                                    "basic", delta_routing=True,
-                                    runtime_cls=ThreadedRuntime)
-        _, sequential, _ = _run(delta_world, backend, definition, "basic",
-                                delta_routing=True)
-        assert threaded.routing == "delta"
-        assert {(s.activity_id, s.participant) for s in threaded.steps} == \
-            {(s.activity_id, s.participant) for s in sequential.steps}
-        assert_hops_cold_verify(initial, threaded, delta_world, backend)
