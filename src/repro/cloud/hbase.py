@@ -489,11 +489,6 @@ class SimHBase:
                 region.drop_row(key)
             self._maybe_flush(region)
 
-    def delete_cell(self, table: str, row_key: str, family: str,
-                    qualifier: str) -> bool:
-        """Delete one cell (WAL-tombstoned); True when it existed."""
-        return self.delete_cells(table, row_key, [(family, qualifier)]) == 1
-
     def delete_cells(self, table: str, row_key: str,
                      cells: list[tuple[str, str]]) -> int:
         """Delete several cells of one row; returns how many existed.

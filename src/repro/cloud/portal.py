@@ -38,7 +38,6 @@ from ..errors import (
     ReproError,
     RuntimeFault,
 )
-from ..model.controlflow import JoinKind
 from .network import WAN, NetworkModel
 from .notify import NotificationService
 from .pool import DocumentPool, PoolEntry
@@ -438,11 +437,3 @@ class PortalServer:
                 self.tfc.keypair.private_key, self.backend,
             )
         return effective_definition(document, backend=self.backend)
-
-    @staticmethod
-    def join_arity(definition, activity_id: str) -> int:
-        """Branches an AND-join activity waits for (driver helper)."""
-        activity = definition.activity(activity_id)
-        if activity.join is JoinKind.AND:
-            return len(definition.incoming(activity_id))
-        return 1

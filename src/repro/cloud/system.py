@@ -41,7 +41,6 @@ from .notify import NotificationService
 from .placement import PortalPlacement
 from .pool import DOC_TABLE, DocumentPool
 from .portal import PortalServer, Session
-from .sharding import DEFAULT_VNODES
 from .simclock import SimClock
 
 __all__ = ["CloudSystem", "CloudClient", "drive_instance",
@@ -57,15 +56,11 @@ class CloudSystem:
                  portals: int = 2,
                  region_servers: int = 2,
                  datanodes: int = 3,
-                 replication: int = 3,
                  split_threshold_rows: int = 256,
-                 split_threshold_bytes: int | None = None,
                  backend: CryptoBackend | None = None,
                  verify_cache: VerificationCache | None = None,
-                 clock: SimClock | None = None,
                  delta_routing: bool = False,
                  placement: str = "round-robin",
-                 placement_vnodes: int | None = None,
                  chunk_replicas: int | None = None,
                  chunk_cache_bytes: int | None = None) -> None:
         if isinstance(portals, bool) or not isinstance(portals, int):
@@ -92,9 +87,10 @@ class CloudSystem:
         #: Off by default — full-document routing, as before.
         self.delta_routing = delta_routing
         #: When supplied, all portals and the TFC share this signature
-        #: cache: a document verified at any front door costs only its
-        #: newly appended CERs anywhere else in the cloud.  ``None``
-        #: (default) keeps every verification cold.
+        #: cache: a signature checked at any front door costs hashing,
+        #: not RSA, anywhere else in the cloud.  Resuming from the last
+        #: verified copy (the TFC's and every client agent's
+        #: :class:`~repro.document.resume.KeptPasses`) does not need it.
         self.verify_cache = verify_cache
         #: LRU byte budget for every client's peer chunk cache (delta
         #: mode).  ``None`` (default) keeps the historic unbounded
@@ -102,18 +98,15 @@ class CloudSystem:
         #: holds at least its most recent chunk).
         self.chunk_cache_bytes = chunk_cache_bytes
         #: All components charge simulated costs here; the fleet
-        #: scheduler passes its own clock so it can capture per-
-        #: component service times (see :mod:`repro.fleet`).
-        self.clock = clock or SimClock()
-        self.hdfs = SimHdfs(
-            datanodes=datanodes, replication=replication,
-            clock=self.clock, network=LAN,
-        )
+        #: scheduler runs its event heap on this clock and captures
+        #: per-component service times from it (see :mod:`repro.fleet`).
+        self.clock = SimClock()
+        self.hdfs = SimHdfs(datanodes=datanodes, clock=self.clock,
+                            network=LAN)
         self.hbase = SimHBase(
             region_servers=region_servers, hdfs=self.hdfs,
             clock=self.clock, network=LAN,
             split_threshold_rows=split_threshold_rows,
-            split_threshold_bytes=split_threshold_bytes,
         )
         self.pool = DocumentPool(self.hbase, delta=delta_routing,
                                  chunk_replicas=chunk_replicas)
@@ -143,9 +136,7 @@ class CloudSystem:
         self.placement: PortalPlacement | None = None
         if placement == "ring":
             self.placement = PortalPlacement(
-                [p.portal_id for p in self.portals],
-                vnodes=placement_vnodes or DEFAULT_VNODES,
-            )
+                [p.portal_id for p in self.portals])
         self._portal_by_id = {p.portal_id: p for p in self.portals}
         self.mapreduce = MapReduceEngine(self.hbase)
 
@@ -267,12 +258,8 @@ class CloudClient:
     system: CloudSystem
 
     def __post_init__(self) -> None:
-        # With a cloud cache, the agent keeps what it verified itself, so
-        # a returning participant checks only what was appended since.
         self.agent = ActivityExecutionAgent(
-            self.keypair, self.system.directory, self.system.backend,
-            keep_passes=self.system.verify_cache is not None,
-        )
+            self.keypair, self.system.directory, self.system.backend)
         #: portal id → authenticated session at that front door.
         self._sessions: dict[str, Session] = {}
         if self.system.placement is None:

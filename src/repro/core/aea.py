@@ -5,9 +5,9 @@ running on the participant's own machine — anywhere, on any device —
 replaces the workflow engine.  For each received document the AEA:
 
 1. parses it and **verifies every embedded digital signature** (legal
-   definition, valid history); an agent that keeps passes checks
-   bytes that extend the copy of the instance it verified last time
-   only for the CERs appended since;
+   definition, valid history); bytes that extend the copy of the
+   instance it verified last time are checked only for the CERs
+   appended since;
 2. checks the participant is the designated executor;
 3. decrypts and presents the requested data (here: an
    :class:`ActivityContext` handed to a responder callable); a field
@@ -44,11 +44,9 @@ from ..document.amendments import (
     make_amendment_cer,
 )
 from ..document.builder import make_intermediate_cer, make_standard_cer
-from ..document.delta import ChunkCache, DeltaDocument, decode_delta
 from ..document.document import Dra4wfmsDocument
 from ..document.nonrepudiation import frontier_cers
 from ..document.resume import KeptPasses
-from ..document.vcache import VerificationCache
 from ..document.verify import VerificationReport, verify_document
 from ..errors import AuthorizationError, PolicyError, RoutingError, RuntimeFault
 from ..model.definition import WorkflowDefinition
@@ -112,41 +110,19 @@ class ActivityExecutionAgent:
     """The engine-less execution agent of one participant."""
 
     def __init__(self, keypair: KeyPair, directory: KeyDirectory,
-                 backend: CryptoBackend | None = None,
-                 verify_cache: VerificationCache | None = None,
-                 keep_passes: bool = False) -> None:
+                 backend: CryptoBackend | None = None) -> None:
         self.keypair = keypair
         self.directory = directory
         self.backend = backend or default_backend()
-        #: Opt-in incremental verification: remember the signatures this
-        #: agent already checked so the unchanged cascade prefix of the
-        #: next routed copy costs hashing, not RSA.  ``None`` (default)
-        #: keeps every receive a cold, trust-nothing verification.
-        self.verify_cache = verify_cache
-        #: With *keep_passes*, the last copy of each instance this agent
-        #: received as bytes and verified in full, so the next copy of it
-        #: costs only the CERs appended since (``None``: every receive is
-        #: a full pass).
-        self.kept_passes = KeptPasses() if keep_passes else None
-        #: Content-addressed chunks this agent has seen: lets a peer
-        #: route a :class:`~repro.document.delta.DeltaDocument` (only
-        #: the CERs this agent lacks) instead of the full bytes.  The
-        #: decoded document is digest-checked and then verified exactly
-        #: like a full transfer.
-        self.chunk_cache = ChunkCache()
+        #: The last copy of each instance this agent received as bytes
+        #: and verified in full, so the next copy of it costs only the
+        #: CERs appended since.  A parsed document is always a full pass.
+        self.kept_passes = KeptPasses()
         #: What this participant already decrypted: step 3 re-reads every
         #: earlier field it may read on each hop, but pays RSA only for
         #: fields it has not decrypted before (see
         #: :class:`~repro.xmlsec.xmlenc.DecryptionMemo`).
         self.decryption_memo = DecryptionMemo()
-
-    def _materialize(self, data) -> Dra4wfmsDocument:
-        """Turn any accepted transfer form into a parsed document."""
-        if isinstance(data, Dra4wfmsDocument):
-            return data
-        if isinstance(data, DeltaDocument):
-            data = decode_delta(data, self.chunk_cache)
-        return Dra4wfmsDocument.from_bytes(data)
 
     @property
     def identity(self) -> str:
@@ -155,25 +131,23 @@ class ActivityExecutionAgent:
 
     # -- step 1: receive & verify ------------------------------------------------
 
-    def _receive(self, data: bytes | Dra4wfmsDocument | DeltaDocument,
+    def _receive(self, data: bytes | Dra4wfmsDocument,
                  merge_with: list[Dra4wfmsDocument] | None,
                  ) -> tuple[Dra4wfmsDocument, VerificationReport]:
-        """Materialize, merge (AND-join) and verify a routed document.
+        """Merge (AND-join) and verify a routed document.
 
         Unmerged bytes go to the verifier as they are, so a copy that
         extends the one this agent last received of the instance resumes
         its verification.
         """
-        if isinstance(data, DeltaDocument):
-            data = decode_delta(data, self.chunk_cache)
         if merge_with:
-            data = self._materialize(data)
+            if isinstance(data, bytes):
+                data = Dra4wfmsDocument.from_bytes(data)
             for branch in merge_with:
                 data = data.merge(branch)
         report = verify_document(
             data, self.directory, self.backend,
             definition_reader=(self.identity, self.keypair.private_key),
-            cache=self.verify_cache,
             kept=self.kept_passes,
         )
         return report.document, report
@@ -182,7 +156,7 @@ class ActivityExecutionAgent:
 
     def execute_activity(
         self,
-        data: bytes | Dra4wfmsDocument | DeltaDocument,
+        data: bytes | Dra4wfmsDocument,
         activity_id: str,
         responder: Responder | Mapping[str, str],
         *,
@@ -321,7 +295,7 @@ class ActivityExecutionAgent:
 
     # -- run-time amendments (dynamic flow control / security policy) ------
 
-    def amend(self, data: bytes | Dra4wfmsDocument | DeltaDocument,
+    def amend(self, data: bytes | Dra4wfmsDocument,
               amendment: Amendment) -> Dra4wfmsDocument:
         """Embed a signed run-time amendment into a routed document.
 

@@ -15,7 +15,6 @@ from statistics import fmean
 from typing import TYPE_CHECKING
 
 from ..document.document import Dra4wfmsDocument
-from ..document.vcache import VerificationCache
 from ..model.definition import WorkflowDefinition
 from .state import ExecutionStatus, execution_status
 from .tfc import TfcRecord, TfcServer
@@ -49,16 +48,11 @@ class WorkflowMonitor:
 
     def __init__(self, tfc: TfcServer | None = None,
                  records: list[TfcRecord] | None = None,
-                 verify_cache: VerificationCache | None = None,
                  fleet: "Fleet | None" = None) -> None:
         if tfc is None and records is None:
             raise ValueError("pass a TFC server or a record list")
         self._tfc = tfc
         self._records = records
-        #: The shared signature cache whose counters this monitor
-        #: surfaces; falls back to the TFC's cache when not given.
-        self._verify_cache = (verify_cache if verify_cache is not None
-                              else getattr(tfc, "verify_cache", None))
         self._fleet = fleet
 
     def attach_fleet(self, fleet: "Fleet") -> None:
@@ -137,14 +131,15 @@ class WorkflowMonitor:
     def verification_cache_stats(self) -> dict[str, int | float] | None:
         """Hit/miss/store/invalidation counters of the signature cache.
 
-        ``None`` when no cache is attached (all verifies are cold).  A
+        The TFC's cache; ``None`` without a TFC or when it has none.  A
         healthy steady-state hit rate approaches ``(n-1)/n`` for
         *n*-CER documents: only the newly appended CER needs RSA work
         per hop.
         """
-        if self._verify_cache is None:
+        cache = None if self._tfc is None else self._tfc.verify_cache
+        if cache is None:
             return None
-        return self._verify_cache.stats.snapshot()
+        return cache.stats.snapshot()
 
     # -- fleet load metrics --------------------------------------------------
 

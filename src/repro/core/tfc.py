@@ -108,13 +108,13 @@ class TfcServer:
         self.clock = clock
         self.keep_copies = keep_copies
         #: Opt-in shared signature cache for incremental verification
-        #: (``None`` keeps every ``process()`` a cold verify).
+        #: (``None``: every signature a pass checks costs RSA).
         self.verify_cache = verify_cache
-        #: With a cache, the last submission of each live instance that
-        #: verified in full, so the next one (its bytes) is verified
-        #: from there: only the CERs appended since are parsed and
-        #: checked.  This server's own history, never shared.
-        self.kept_passes = None if verify_cache is None else KeptPasses()
+        #: The last submission of each live instance that verified in
+        #: full, so the next one (its bytes) is verified from there:
+        #: only the CERs appended since are parsed and checked.  This
+        #: server's own history, never shared.
+        self.kept_passes = KeptPasses()
         #: TFC identities whose CERs this server accepts in incoming
         #: documents.  Cross-enterprise deployments run one TFC per
         #: enterprise (Fig. 6 shows a TFC per hop); list the federation
@@ -224,7 +224,7 @@ class TfcServer:
             sign_seconds = time.perf_counter() - sign_start
 
         routing = route_after(definition, activity_id, typed)
-        if routing.terminal and self.kept_passes is not None:
+        if routing.terminal:
             self.kept_passes.forget(document.process_id)
 
         self.records.append(TfcRecord(
@@ -248,10 +248,6 @@ class TfcServer:
         )
 
     # -- monitoring ------------------------------------------------------------
-
-    def records_for(self, process_id: str) -> list[TfcRecord]:
-        """All monitoring records of one process instance."""
-        return [r for r in self.records if r.process_id == process_id]
 
     def latest_document(self, process_id: str) -> Dra4wfmsDocument | None:
         """The most recent forwarded copy of a process instance."""

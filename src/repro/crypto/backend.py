@@ -13,6 +13,7 @@ from __future__ import annotations
 import secrets
 from typing import Protocol, runtime_checkable
 
+from ..errors import ReproError
 from .pure.drbg import HmacDrbg
 from .pure.modes import open_sealed, seal
 from .pure.rsa import RsaPrivateKey, RsaPublicKey, generate_keypair
@@ -68,9 +69,10 @@ class CryptoBackend(Protocol):
         """Verify many signatures, in order, on the calling thread.
 
         Returns one entry per job, in job order: ``None`` for a valid
-        signature, the verification exception otherwise.  *workers* is
-        accepted and ignored.  Nothing in ``repro`` calls this; it stays
-        for wrappers that delegate it (``perfbench/layers.py``).
+        signature, the ``SignatureError`` otherwise; any other exception
+        propagates.  *workers* is accepted and ignored.  Nothing in
+        ``repro`` calls this; it stays for wrappers that delegate it
+        (``perfbench/layers.py``).
         """
 
     def wrap_key(self, key: RsaPublicKey, data_key: bytes) -> bytes:
@@ -108,9 +110,6 @@ class PureBackend:
 
     def __init__(self, seed: bytes | None = None) -> None:
         self._rng = HmacDrbg(seed) if seed is not None else None
-
-    def _random_source(self) -> HmacDrbg | None:
-        return self._rng
 
     def digest(self, data: bytes) -> bytes:
         return sha256(data)
@@ -171,7 +170,10 @@ class PureBackend:
                            sealed[-16:], aad)
 
 
-def _verify_one(backend: CryptoBackend, job: VerifyJob) -> Exception | None:
+def _verify_one(backend: CryptoBackend, job: VerifyJob) -> ReproError | None:
+    """A job's verdict.  Only a :class:`~repro.errors.ReproError` (both
+    backends raise ``SignatureError`` for every bad signature) is one;
+    anything else propagates, so a crash never reads as a bad signature."""
     public_key, message, signature, algorithm = job
     try:
         if algorithm == "pss":
@@ -180,7 +182,7 @@ def _verify_one(backend: CryptoBackend, job: VerifyJob) -> Exception | None:
             backend.verify(public_key, message, signature)
         else:
             raise ValueError(f"unknown batch algorithm {algorithm!r}")
-    except Exception as exc:
+    except ReproError as exc:
         return exc
     return None
 

@@ -68,6 +68,15 @@ TFC_IDENTITY = "tfc@cloud.example"
 #: Visit order of captured components within one operation.
 _STAGE_ORDER = ("portal", "pool", "notify")
 
+#: Parallel notification delivery workers.
+_NOTIFY_WORKERS = 4
+
+#: Hard stop against runaway event loops.
+_MAX_EVENTS = 5_000_000
+
+#: Deterministic simulated costs of the cryptographic work.
+_COSTS = CryptoCostModel()
+
 
 def audit_failed(system: CloudSystem, process_id: str) -> bool:
     """Cold full-cascade re-verification of one finished instance.
@@ -99,15 +108,8 @@ class FleetConfig:
     think_seconds: float = 0.0
     #: Parallel TFC verify/sign workers.
     tfc_workers: int = 1
-    #: Parallel notification delivery workers.
-    notify_workers: int = 4
-    #: Workers per participant AEA desk.
-    aea_workers: int = 1
     #: Cold-re-verify every Nth completed instance (0 disables).
     audit_every: int = 25
-    costs: CryptoCostModel = field(default_factory=CryptoCostModel)
-    #: Hard stop against runaway event loops.
-    max_events: int = 5_000_000
     #: Optional :class:`repro.obs.Tracer` collecting per-event spans.
     #: ``None`` (default) leaves the run entirely untraced — reports
     #: stay byte-identical to pre-observability builds.
@@ -162,7 +164,7 @@ class Fleet:
         self.stations: dict[str, Station] = {
             "tfc": Station("tfc", config.tfc_workers),
             "pool": Station("pool", len(system.hbase.servers)),
-            "notify": Station("notify", config.notify_workers),
+            "notify": Station("notify", _NOTIFY_WORKERS),
         }
         if system.placement is None:
             # Round-robin front door: one station, a worker per portal.
@@ -176,9 +178,8 @@ class Fleet:
                 name = f"portal:{portal.portal_id}"
                 self.stations[name] = Station(name, 1)
         for identity in workload.identities:
-            self.stations[f"aea:{identity}"] = Station(
-                f"aea:{identity}", config.aea_workers
-            )
+            # One desk per participant.
+            self.stations[f"aea:{identity}"] = Station(f"aea:{identity}", 1)
         self._events: list[tuple[float, int, Callable[[], None]]] = []
         self._sequence = 0
         self._instances: dict[str, _Instance] = {}
@@ -347,7 +348,7 @@ class Fleet:
         with self._span("launch", component="fleet",
                         instance=initial.process_id,
                         hop=self.definition.start_activity):
-            sign_cost = self.config.costs.initial_sign(initial.size_bytes)
+            sign_cost = _COSTS.initial_sign(initial.size_bytes)
             self._leaf("crypto.initial_sign", sign_cost, "crypto")
             with self.clock.capture() as captured:
                 client.upload_initial(initial)
@@ -435,18 +436,17 @@ class Fleet:
             entries = client.submit_document(result.document)
         self._hops += 1
 
-        costs = self.config.costs
         # Crypto costs are charged on the *full* canonical sizes in
         # both routing modes: delta routing shrinks the wire and the
         # store, never what gets hashed, verified, or signed.
         full_size = result.document.size_bytes
-        aea_cost = costs.aea_execute(result.timings.signatures_verified,
-                                     retrieved_size)
+        aea_cost = _COSTS.aea_execute(result.timings.signatures_verified,
+                                      retrieved_size)
         if self.system.delta_routing:
             hop_wire = (client.bytes_received + client.bytes_sent
                         - wire_before)
-            aea_cost += costs.delta_overhead(hop_wire)
-        tfc_cost = costs.tfc_process(
+            aea_cost += _COSTS.delta_overhead(hop_wire)
+        tfc_cost = _COSTS.tfc_process(
             result.timings.signatures_verified + 1, full_size
         )
         self._leaf("crypto.aea_execute", aea_cost, "crypto")
@@ -571,9 +571,9 @@ class Fleet:
         processed = 0
         while self._events:
             processed += 1
-            if processed > self.config.max_events:
+            if processed > _MAX_EVENTS:
                 raise FleetError(
-                    f"fleet exceeded {self.config.max_events} events "
+                    f"fleet exceeded {_MAX_EVENTS} events "
                     f"(runaway loop?)"
                 )
             when, _, fn = heapq.heappop(self._events)
@@ -728,21 +728,16 @@ class Fleet:
 def build_fleet(workload: FleetWorkload,
                 config: FleetConfig,
                 portals: int = 2,
-                region_servers: int = 2,
-                datanodes: int = 3,
-                bits: int = 1024,
                 backend=None,
-                shared_cache: bool = True,
                 delta_routing: bool = False,
                 placement: str = "round-robin",
                 chunk_replicas: int | None = None,
-                split_threshold_rows: int = 256,
-                split_threshold_bytes: int | None = None) -> Fleet:
+                split_threshold_rows: int = 256) -> Fleet:
     """Stand up a world + cloud + fleet for *workload* in one call.
 
-    Enrolls the workload's identities plus the cloud's TFC, wires an
-    (optionally) shared :class:`VerificationCache` through portals and
-    TFC, and returns a ready-to-``run()`` :class:`Fleet`.  With
+    Enrolls the workload's identities plus the cloud's TFC, wires a
+    shared :class:`VerificationCache` through portals and TFC, and
+    returns a ready-to-``run()`` :class:`Fleet`.  With
     ``delta_routing`` the pool stores content-addressed CER chunks and
     every client moves manifest + unseen chunks instead of full
     documents (see docs/ROUTING.md).  ``placement="ring"`` turns on the
@@ -754,20 +749,17 @@ def build_fleet(workload: FleetWorkload,
     from ..workloads.participants import build_world
 
     world = build_world([*workload.identities, TFC_IDENTITY],
-                        bits=bits, backend=backend)
+                        backend=backend)
     system = CloudSystem(
         world.directory,
         world.keypair(TFC_IDENTITY),
         portals=portals,
-        region_servers=region_servers,
-        datanodes=datanodes,
         backend=world.backend,
-        verify_cache=VerificationCache() if shared_cache else None,
+        verify_cache=VerificationCache(),
         delta_routing=delta_routing,
         placement=placement,
         chunk_replicas=chunk_replicas,
         split_threshold_rows=split_threshold_rows,
-        split_threshold_bytes=split_threshold_bytes,
         chunk_cache_bytes=config.chunk_cache_bytes,
     )
     return Fleet(system, workload, world.keypairs, config)

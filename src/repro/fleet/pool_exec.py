@@ -73,20 +73,16 @@ class RealFleetConfig:
     audit_every: int = 25
     #: Delta document routing inside each instance's cloud.
     delta_routing: bool = False
-    #: RSA modulus for the generated world (when none is supplied).
-    bits: int = 1024
-    #: Portals / region servers per per-instance cloud.
+    #: Portals per per-instance cloud.
     portals: int = 2
-    region_servers: int = 2
     #: ``"ring"`` pins each instance to one portal by consistent hash
     #: (and reports instances-per-portal); default keeps round-robin.
     placement: str = "round-robin"
     #: Factor-R replication of delta chunks over the region servers
     #: (requires ``delta_routing``; ``None`` keeps the single store).
     chunk_replicas: int | None = None
-    #: HBase region auto-split thresholds per per-instance cloud.
+    #: HBase region auto-split threshold (rows) per per-instance cloud.
     split_threshold_rows: int = 256
-    split_threshold_bytes: int | None = None
 
 
 @dataclass
@@ -148,14 +144,12 @@ def _run_instance(index: int) -> InstanceResult:
         world.directory,
         world.keypair(TFC_IDENTITY),
         portals=config.portals,
-        region_servers=config.region_servers,
         backend=world.backend,
         verify_cache=VerificationCache(),
         delta_routing=config.delta_routing,
         placement=config.placement,
         chunk_replicas=config.chunk_replicas,
         split_threshold_rows=config.split_threshold_rows,
-        split_threshold_bytes=config.split_threshold_bytes,
     )
     process_id = f"real{config.seed}-{index:06d}"
     # Per-instance tracer: each worker collects its own span tree (over
@@ -229,8 +223,7 @@ def run_real_fleet(config: RealFleetConfig,
         raise ValueError("workers must be at least 1")
     workload = workload_from_spec(config.spec, loops=config.loops)
     if world is None:
-        world = build_world([*workload.identities, TFC_IDENTITY],
-                            bits=config.bits)
+        world = build_world([*workload.identities, TFC_IDENTITY])
     initargs = (config, world.to_dict(), tracer is not None)
 
     wall_start = time.perf_counter()

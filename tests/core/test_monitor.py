@@ -91,14 +91,6 @@ class TestVerificationCacheStats:
         assert stats["invalidations"] == 0
         assert 0.0 < stats["hit_rate"] <= 1.0
 
-    def test_explicit_cache_wins(self, fig9b_run):
-        from repro.document.vcache import VerificationCache
-
-        _, tfc = fig9b_run
-        cache = VerificationCache()
-        monitor = WorkflowMonitor(tfc=tfc, verify_cache=cache)
-        assert monitor.verification_cache_stats() == cache.stats.snapshot()
-
 
 class TestRecordListMonitor:
     def test_from_raw_records(self):

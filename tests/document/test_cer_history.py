@@ -76,7 +76,7 @@ def test_appending_leaves_the_kept_pass_unchanged(resumptions):
                     clock=lambda: float(next(clock)),
                     verify_cache=VerificationCache())
     agents = {identity: ActivityExecutionAgent(
-        world.keypair(identity), world.directory, backend, keep_passes=True)
+        world.keypair(identity), world.directory, backend)
         for identity in workload.identities}
     initial = build_initial_document(
         definition, world.keypair(workload.designer), backend=backend)

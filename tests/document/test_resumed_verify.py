@@ -88,15 +88,22 @@ def resumptions(monkeypatch):
 
 # -- (a) every receipt of the two benchmark workloads ------------------------
 
+#: Each workload on a cloud with a shared signature cache and on one
+#: without: resuming does not depend on the cache.
+CLOUDS = [pytest.param(spec, cache, id=spec if cache else f"{spec}-no-cache")
+          for cache in (True, False) for spec in sorted(WORKLOAD_SPECS)]
 
-@pytest.mark.parametrize("spec", sorted(WORKLOAD_SPECS))
-def test_cloud_receipts_equal_cold_passes(spec, monkeypatch, resumptions):
+
+@pytest.mark.parametrize("spec, cache", CLOUDS)
+def test_cloud_receipts_equal_cold_passes(spec, cache, monkeypatch,
+                                          resumptions):
     backend = FastBackend()
     workload = workload_from_spec(spec, loops=WORKLOAD_SPECS[spec])
     world = build_world([*workload.identities, TFC], bits=1024,
                         backend=backend)
     system = CloudSystem(world.directory, world.keypair(TFC),
-                         backend=backend, verify_cache=VerificationCache(),
+                         backend=backend,
+                         verify_cache=VerificationCache() if cache else None,
                          delta_routing=spec != "fig9")
     clients = [system.client(world.keypair(identity))
                for identity in workload.identities]
@@ -141,10 +148,8 @@ def test_cloud_receipts_equal_cold_passes(spec, monkeypatch, resumptions):
     assert received[id(tfc_store)] == [hops * instances,
                                        (hops - 1) * instances]
     assert len(tfc_store) == 0  # forgotten at termination
-    # ... and each participant on every return to an instance, with no
-    # signature cache of its own.
+    # ... and each participant on every return to an instance.
     for client in participants:
-        assert client.agent.verify_cache is None
         receipts, resumed = received[id(client.agent.kept_passes)]
         assert receipts > instances
         assert resumed == receipts - instances
@@ -466,14 +471,29 @@ def test_tfc_keeps_a_live_instance_only(world, fig9b, backend):
     assert len(store) == 0
 
 
-def test_no_cache_no_kept_passes(world, fig9b, backend):
-    """A cloud without a verification cache verifies every receipt cold."""
-    system = CloudSystem(world.directory, world.keypair(TFC),
-                         backend=backend)
-    client = system.client(world.keypair(DESIGNER))
-    assert system.tfc.kept_passes is None
-    assert client.agent.kept_passes is None
-    assert client.agent.verify_cache is None
+@pytest.mark.parametrize("mode", ["basic", "advanced"])
+def test_in_memory_receipts_stay_cold(mode, world, fig9a, fig9b, backend,
+                                      resumptions):
+    """The in-memory runtime hands its agents and the TFC parsed
+    documents, so every receipt is a full pass (Tables 1-2 measure cold
+    verification) and nothing is kept."""
+    definition = fig9a if mode == "basic" else fig9b
+    tfc = None
+    if mode == "advanced":
+        tfc = TfcServer(world.keypair(TFC), world.directory, backend=backend)
+    runtime = InMemoryRuntime(world.directory, world.keypairs, tfc=tfc,
+                              backend=backend)
+    initial = build_initial_document(definition, world.keypair(DESIGNER),
+                                     backend=backend)
+    trace = runtime.run(initial, definition, figure9_responders(1),
+                        mode=mode)
+    assert len(trace.steps) == 10
+    assert resumptions == []
+    stores = [runtime.agent_for(identity).kept_passes
+              for identity in world.keypairs]
+    if tfc is not None:
+        stores.append(tfc.kept_passes)
+    assert [len(store) for store in stores] == [0] * len(stores)
 
 
 def test_kept_passes_under_threads(chain):

@@ -9,7 +9,9 @@ signature value that does not verify.  :meth:`XmlSignature.verify
 propagate out of every verifier, so that an audit cannot count it as
 detected tampering and a portal cannot count it as a rejected
 submission.  Each test also raises ``SignatureError`` at the same check,
-to show that the check is reached and still gives a verdict.
+to show that the check is reached and still gives a verdict.  The same
+holds for a job of ``CryptoBackend.verify_batch``, whose outcome is a
+verdict only.
 """
 
 from __future__ import annotations
@@ -39,6 +41,9 @@ TFC = "tfc@cloud.example"
 
 #: SignatureMethod → the backend method that checks it.
 METHODS = {ALG_PKCS1V15: "verify", ALG_PSS: "verify_pss"}
+
+#: SignatureMethod → the job algorithm ``verify_batch`` takes.
+BATCH_ALGORITHMS = {ALG_PKCS1V15: "pkcs1v15", ALG_PSS: "pss"}
 
 #: Backends the faulty RSA check wraps.
 BACKENDS = {"pure": PureBackend, "fast": FastBackend}
@@ -191,3 +196,23 @@ def test_audit_failed(world, backend, documents, inner, algorithm):
         audit_failed(system, pid)
     system.backend = faulty(inner, algorithm, BAD_VALUE, victims)
     assert audit_failed(system, pid)
+
+
+def test_verify_batch(world, inner, algorithm):
+    """A wrong signature is the job's ``SignatureError``; a crash in the
+    check propagates out of the batch instead of becoming an outcome."""
+    keypair = world.keypair(DESIGNER)
+    sign = "sign_pss" if algorithm == ALG_PSS else "sign"
+    value = getattr(BACKENDS[inner](), sign)(keypair.private_key, b"message")
+    jobs = [(keypair.public_key, message, value, BATCH_ALGORITHMS[algorithm])
+            for message in (b"message", b"other message")]
+    valid, wrong = BACKENDS[inner]().verify_batch(jobs)
+    assert valid is None and isinstance(wrong, SignatureError)
+
+    def crash(self, key, message, signature):
+        raise CRASH
+
+    crashing = type("Crashing", (BACKENDS[inner],),
+                    {METHODS[algorithm]: crash})
+    with pytest.raises(RuntimeError, match="backend bug"):
+        crashing().verify_batch(jobs)

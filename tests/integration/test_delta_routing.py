@@ -1,14 +1,15 @@
-"""Delta routing equivalence: O(new CER) transfers, identical documents.
+"""Delta routing through the cloud: O(new CER) transfers, same history.
 
-Delta routing changes only what crosses the wire — a manifest plus the
-chunks the receiver has never seen — never what the receiver verifies.
-These tests drive randomly shaped workflows (the same generator the
-signature-cache fuzzer uses) through delta-routed runtimes and check,
-at **every hop**:
+Delta routing changes only what crosses the wire between clients and
+portals — a manifest plus the chunks the other side has never seen —
+never what anyone verifies.  These tests drive randomly shaped
+workflows (the same generator the signature-cache fuzzer uses) through
+a delta-routed :class:`~repro.cloud.CloudSystem` and a full-document one
+(both run the advanced model: every hop passes the TFC) and check:
 
-* the materialized document passes a cold, trust-nothing verification;
-* the trace shape matches a full-routing run of the same definition
-  (same activities, same participants, same CER counts); and
+* every version the pool stored passes a cold, trust-nothing
+  verification;
+* both clouds executed the same history (the same CERs); and
 * the wire accounting shows the win: revisiting participants receive
   a fraction of the document instead of all of it.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import InMemoryRuntime, TfcServer
+from repro.cloud import CloudSystem, run_process_in_cloud
 from repro.document import build_initial_document
 from repro.document.verify import verify_document
 from repro.workloads import build_world
@@ -44,134 +45,133 @@ def delta_world(backend):
                        bits=1024, backend=backend)
 
 
-def _run(delta_world, backend, definition, mode, *, delta_routing,
+def _cloud(delta_world, backend, *, delta_routing) -> CloudSystem:
+    return CloudSystem(delta_world.directory,
+                       delta_world.keypair(TFC_IDENTITY), backend=backend,
+                       delta_routing=delta_routing)
+
+
+def _run(delta_world, backend, definition, *, delta_routing,
          loop_iterations=1):
+    """One instance of *definition* through a fresh cloud; returns the
+    cloud and the final pooled document."""
+    system = _cloud(delta_world, backend, delta_routing=delta_routing)
     initial = build_initial_document(
         definition, delta_world.keypair(DESIGNER), backend=backend
     )
-    tfc = None
-    if mode == "advanced":
-        tfc = TfcServer(delta_world.keypair(TFC_IDENTITY),
-                        delta_world.directory, backend=backend)
-    runtime = InMemoryRuntime(delta_world.directory, delta_world.keypairs,
-                              tfc=tfc, backend=backend,
-                              delta_routing=delta_routing)
-    trace = runtime.run(
-        initial, definition,
+    final = run_process_in_cloud(
+        system, definition, initial, delta_world.keypair(DESIGNER),
+        delta_world.keypairs,
         auto_responders(definition, loop_iterations=loop_iterations),
-        mode=mode,
     )
-    return initial, trace, tfc
+    return system, final
 
 
-def assert_hops_cold_verify(initial, trace, delta_world, backend, tfc=None):
-    """Every routed document must survive a trust-nothing verification
-    — reassembly from chunks can never weaken what the verifier sees."""
-    tfc_identities = {tfc.identity} if tfc is not None else None
-    for document in [initial] + [s.document for s in trace.steps]:
-        verify_document(document, delta_world.directory, backend,
-                        tfc_identities=tfc_identities)
+def _history(document) -> list[tuple[str, str, int, str]]:
+    """The executed history: every results CER, order aside.  Documents
+    differ in signing timestamps, so compare structure, not bytes."""
+    return sorted((cer.kind, cer.activity_id, cer.iteration, cer.participant)
+                  for cer in document.cers(include_definition=False))
 
 
-def assert_same_shape(delta_trace, full_trace):
-    """Same definition, same responders → same executed path.  Documents
-    differ only in signing timestamps, so compare structure, not bytes."""
-    assert delta_trace.routing == "delta"
-    assert full_trace.routing == "full"
-    assert [(s.activity_id, s.participant, s.iteration)
-            for s in delta_trace.steps] == \
-        [(s.activity_id, s.participant, s.iteration)
-         for s in full_trace.steps]
-    for ours, theirs in zip(delta_trace.steps, full_trace.steps):
-        assert len(ours.document.cers()) == len(theirs.document.cers())
+def assert_versions_cold_verify(system, process_id, delta_world, backend):
+    """Every stored version must survive a trust-nothing verification —
+    reassembly from chunks can never weaken what the verifier sees."""
+    versions = system.pool.history(process_id)
+    assert len(versions) > 1
+    for document in versions:
+        verify_document(document.to_bytes(), delta_world.directory, backend,
+                        tfc_identities={TFC_IDENTITY})
+
+
+def assert_delta_matches_full(delta_world, backend, definition,
+                              loop_iterations=1):
+    """Run *definition* through both clouds; returns the delta cloud's
+    ``(system, final document)``."""
+    runs = {
+        routing: _run(delta_world, backend, definition,
+                      delta_routing=routing == "delta",
+                      loop_iterations=loop_iterations)
+        for routing in ("delta", "full")
+    }
+    (delta, delta_final), (full, full_final) = runs["delta"], runs["full"]
+    assert _history(delta_final) == _history(full_final)
+    assert_versions_cold_verify(delta, delta_final.process_id, delta_world,
+                                backend)
+    # The whole point: the delta cloud sent its clients fewer bytes.
+    sent = {routing: sum(p.stats["bytes_out"] for p in system.portals)
+            for routing, (system, _) in runs.items()}
+    assert sent["delta"] < sent["full"]
+    return delta, delta_final
+
+
+def _chain_hops(delta_world, backend, length, *, delta_routing):
+    """``(bytes received, pooled document size)`` of every hop of a
+    ``length``-activity chain cycling through :data:`POOL`."""
+    definition = chain_definition(length, POOL, designer=DESIGNER)
+    system = _cloud(delta_world, backend, delta_routing=delta_routing)
+    initial = build_initial_document(
+        definition, delta_world.keypair(DESIGNER), backend=backend
+    )
+    pid = system.client(delta_world.keypair(DESIGNER)).upload_initial(
+        initial)
+    clients = {identity: system.client(delta_world.keypair(identity))
+               for identity in POOL}
+    responders = auto_responders(definition)
+    hops = []
+    for index in range(length):
+        activity = definition.activity(f"A{index}")
+        client = clients[activity.participant]
+        size = len(system.pool.latest_bytes(pid))
+        before = client.bytes_received
+        client.execute(pid, activity.activity_id,
+                       responders[activity.activity_id])
+        hops.append((client.bytes_received - before, size))
+    return hops
 
 
 class TestRandomTopologies:
     @pytest.mark.parametrize("seed", RANDOM_SEEDS)
-    def test_basic_model(self, delta_world, backend, seed):
-        definition = random_definition(seed, blocks=3, designer=DESIGNER)
-        initial, delta_trace, _ = _run(delta_world, backend, definition,
-                                       "basic", delta_routing=True)
-        _, full_trace, _ = _run(delta_world, backend, definition, "basic",
-                                delta_routing=False)
-        assert_same_shape(delta_trace, full_trace)
-        assert_hops_cold_verify(initial, delta_trace, delta_world, backend)
-
-    @pytest.mark.parametrize("seed", range(5))
     def test_advanced_model(self, delta_world, backend, seed):
-        definition = random_definition(seed, blocks=2, designer=DESIGNER)
-        initial, delta_trace, tfc = _run(delta_world, backend, definition,
-                                         "advanced", delta_routing=True)
-        _, full_trace, _ = _run(delta_world, backend, definition,
-                                "advanced", delta_routing=False)
-        assert_same_shape(delta_trace, full_trace)
-        assert_hops_cold_verify(initial, delta_trace, delta_world, backend,
-                                tfc=tfc)
+        definition = random_definition(seed, blocks=3, designer=DESIGNER)
+        assert_delta_matches_full(delta_world, backend, definition)
 
 
 class TestWireAccounting:
     def test_initial_delivery_is_full(self, delta_world, backend):
-        definition = chain_definition(3, POOL, designer=DESIGNER)
-        initial, trace, _ = _run(delta_world, backend, definition, "basic",
-                                 delta_routing=True)
-        # The first hop ships the whole initial document (the receiver
-        # has no chunks yet); its wire cost reflects that.
-        assert trace.steps[0].wire_bytes >= initial.size_bytes
+        # The first hop's participant holds no chunks yet: the retrieve
+        # carries the manifest and every chunk of the initial document.
+        (wire, size), *_ = _chain_hops(delta_world, backend, 3,
+                                       delta_routing=True)
+        assert wire >= size
 
     def test_revisits_ship_a_fraction(self, delta_world, backend):
         """A chain cycling 4 participants over 12 activities: from the
         second lap on, each receiver already holds most chunks."""
-        definition = chain_definition(12, POOL, designer=DESIGNER)
-        _, delta_trace, _ = _run(delta_world, backend, definition, "basic",
-                                 delta_routing=True)
-        _, full_trace, _ = _run(delta_world, backend, definition, "basic",
-                                delta_routing=False)
-        assert delta_trace.total_wire_bytes < \
-            full_trace.total_wire_bytes * 0.6
-        # A revisit catches up on the ~len(POOL) CERs appended since the
+        delta = _chain_hops(delta_world, backend, 12, delta_routing=True)
+        full = _chain_hops(delta_world, backend, 12, delta_routing=False)
+        assert sum(wire for wire, _ in delta) < \
+            sum(wire for wire, _ in full) * 0.6
+        # A revisit catches up on the ~len(POOL) hops appended since the
         # participant last held the document, independent of how big the
         # document has grown — so from the second revisit onward each
-        # delivery is a shrinking fraction of the full document.
-        for step in delta_trace.steps[2 * len(POOL):]:
-            assert step.wire_bytes < step.document.size_bytes / 2
+        # retrieve is a shrinking fraction of the full document.
+        for wire, size in delta[2 * len(POOL):]:
+            assert wire < size / 2
 
     def test_full_routing_charges_document_sizes(self, delta_world,
                                                  backend):
-        definition = chain_definition(4, POOL, designer=DESIGNER)
-        initial, trace, _ = _run(delta_world, backend, definition, "basic",
-                                 delta_routing=False)
-        sizes = [initial.size_bytes] + \
-            [s.document.size_bytes for s in trace.steps[:-1]]
-        assert [s.wire_bytes for s in trace.steps] == sizes
-
-    def test_and_join_sums_branch_wire(self, delta_world, backend):
-        definition = diamond_definition(3, POOL, designer=DESIGNER)
-        _, trace, _ = _run(delta_world, backend, definition, "basic",
-                           delta_routing=True)
-        join_step = trace.steps[-1]
-        branch_steps = trace.steps[1:-1]
-        # The join consumed one delivery per branch; its wire cost is
-        # the sum, so it exceeds any single branch delivery.
-        assert join_step.wire_bytes > max(
-            s.wire_bytes for s in branch_steps)
-        assert trace.total_wire_bytes == \
-            sum(s.wire_bytes for s in trace.steps)
+        hops = _chain_hops(delta_world, backend, 4, delta_routing=False)
+        assert [wire for wire, _ in hops] == [size for _, size in hops]
 
 
 class TestStructuredTopologies:
-    @pytest.mark.parametrize("mode", ["basic", "advanced"])
-    def test_loop(self, delta_world, backend, mode):
+    def test_loop(self, delta_world, backend):
         definition = loop_definition(2, POOL, designer=DESIGNER)
-        initial, trace, tfc = _run(delta_world, backend, definition, mode,
-                                   delta_routing=True, loop_iterations=2)
-        assert len({s.iteration for s in trace.steps}) > 1
-        assert_hops_cold_verify(initial, trace, delta_world, backend,
-                                tfc=tfc)
+        _, final = assert_delta_matches_full(delta_world, backend,
+                                             definition, loop_iterations=2)
+        assert len({cer.iteration for cer in final.cers()}) > 1
 
-    @pytest.mark.parametrize("mode", ["basic", "advanced"])
-    def test_diamond(self, delta_world, backend, mode):
+    def test_diamond(self, delta_world, backend):
         definition = diamond_definition(3, POOL, designer=DESIGNER)
-        initial, trace, tfc = _run(delta_world, backend, definition, mode,
-                                   delta_routing=True)
-        assert_hops_cold_verify(initial, trace, delta_world, backend,
-                                tfc=tfc)
+        assert_delta_matches_full(delta_world, backend, definition)
