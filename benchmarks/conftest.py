@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import os
 import pathlib
+import statistics
 import subprocess
 
 import pytest
@@ -82,6 +83,16 @@ def run_fig9b(world, fig9b, backend):
                               backend=backend)
     return initial, runtime.run(initial, fig9b, figure9_responders(1),
                                 mode="advanced"), tfc
+
+
+def step_medians(traces, field: str) -> list[float]:
+    """Per-step median of *field* over *traces*, one per measured round.
+
+    A single wall-clock sample per step flakes on a busy host; the
+    median of the rounds ``benchmark.pedantic`` times does not.
+    """
+    return [statistics.median(getattr(step, field) for step in steps)
+            for steps in zip(*(trace.steps for trace in traces))]
 
 
 def emit_table(name: str, title: str, header: list[str],

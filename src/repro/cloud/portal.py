@@ -109,7 +109,7 @@ class PortalServer:
                 b"dra4wfms-portal-login\x00" + nonce,
                 signature,
             )
-        except Exception as exc:
+        except ReproError as exc:
             raise PortalError(f"authentication failed: {exc}") from exc
         token = self.backend.random(16).hex()
         session = Session(token=token, identity=identity,

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from ..core.aea import ActivityExecutionAgent, Responder
+from ..core.aea import ActivityExecutionAgent, AeaResult, Responder
 from ..core.tfc import TfcServer
 from ..crypto.backend import CryptoBackend, default_backend
 from ..crypto.keys import KeyPair
@@ -45,6 +45,9 @@ from .simclock import SimClock
 
 __all__ = ["CloudSystem", "CloudClient", "drive_instance",
            "run_process_in_cloud"]
+
+#: Polling rounds after which :func:`drive_instance` gives up.
+_MAX_ROUNDS = 10_000
 
 
 class CloudSystem:
@@ -372,22 +375,6 @@ class CloudClient:
         self._cloud_known.update(delta.manifest.chunk_digests)
         return data, delta.manifest
 
-    def retrieve_document(self, process_id: str) -> Dra4wfmsDocument:
-        """Latest document, parsed — memo-warm in delta mode.
-
-        Delta retrieves already digest-checked every chunk during
-        reassembly, so the parsed document's canonical memo can be
-        seeded from them: the AEA's clone/append/re-chunk work on this
-        hop then touches only the new CER instead of re-serializing the
-        whole history.  Full-mode retrieves parse cold, exactly as
-        before.
-        """
-        data, manifest = self._retrieve(process_id)
-        document = Dra4wfmsDocument.from_bytes(data)
-        if manifest is not None:
-            seed_chunks(document, manifest, self.chunks)
-        return document
-
     def submit_document(self, document: Dra4wfmsDocument) -> list:
         """Submit an executed document, shipping only new chunks."""
         portal, session = self._route(document.process_id)
@@ -412,9 +399,9 @@ class CloudClient:
             document.process_id, set()).update(delta.chunks)
         return entries
 
-    def execute(self, process_id: str, activity_id: str,
-                responder: Responder) -> list:
-        """Check out, execute in the local AEA, submit back.
+    def checkout(self, process_id: str, activity_id: str,
+                 responder: Responder) -> AeaResult:
+        """Retrieve the latest document and execute it in the local AEA.
 
         Raises :class:`~repro.errors.JoinNotReady` when an AND-join is
         still missing sibling branches — retry after they arrive.
@@ -433,7 +420,16 @@ class CloudClient:
         )
         if manifest is not None:
             seed_chunks(result.document, manifest, self.chunks)
-        return self.submit_document(result.document)
+        return result
+
+    def execute(self, process_id: str, activity_id: str,
+                responder: Responder) -> list:
+        """Check out, execute in the local AEA, submit back (one hop).
+
+        Raises :class:`~repro.errors.JoinNotReady` as :meth:`checkout`.
+        """
+        return self.submit_document(
+            self.checkout(process_id, activity_id, responder).document)
 
     def monitor(self, process_id: str):
         """Execution status of one instance."""
@@ -442,8 +438,7 @@ class CloudClient:
 
 
 def drive_instance(clients: Sequence[CloudClient], process_id: str,
-                   responders: Mapping[str, Responder],
-                   max_rounds: int = 10_000) -> int:
+                   responders: Mapping[str, Responder]) -> int:
     """Poll *clients* until *process_id* has no work left; return hops.
 
     Every round, each client in turn executes the pending activities of
@@ -451,7 +446,7 @@ def drive_instance(clients: Sequence[CloudClient], process_id: str,
     are retried in a later round, after the sibling branch lands.
     """
     hops = 0
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         progressed = False
         pending = False
         for client in clients:
@@ -477,7 +472,7 @@ def drive_instance(clients: Sequence[CloudClient], process_id: str,
                 f"process {process_id!r} deadlocked: pending work exists "
                 f"but nothing can execute"
             )
-    raise CloudError(f"process {process_id!r} exceeded {max_rounds} rounds")
+    raise CloudError(f"process {process_id!r} exceeded {_MAX_ROUNDS} rounds")
 
 
 def run_process_in_cloud(
@@ -487,7 +482,6 @@ def run_process_in_cloud(
     designer: KeyPair,
     keypairs: dict[str, KeyPair],
     responders: dict[str, Responder],
-    max_rounds: int = 10_000,
 ) -> Dra4wfmsDocument:
     """Drive one process instance through the cloud to completion.
 
@@ -502,5 +496,5 @@ def run_process_in_cloud(
         for identity, keypair in keypairs.items()
         if identity != designer.identity
     ]
-    drive_instance(clients, process_id, responders, max_rounds=max_rounds)
+    drive_instance(clients, process_id, responders)
     return system.pool.latest(process_id)

@@ -28,8 +28,7 @@ from ..model.definition import WorkflowDefinition
 from .aea import ActivityExecutionAgent, Responder
 from .tfc import TfcServer
 
-__all__ = ["StepTrace", "ExecutionTrace", "ProcessExecution",
-           "InMemoryRuntime"]
+__all__ = ["StepTrace", "ExecutionTrace", "InMemoryRuntime"]
 
 
 @dataclass
@@ -88,130 +87,6 @@ class ExecutionTrace:
         return self.steps[-1].size_bytes if self.steps else self.initial_size
 
 
-class ProcessExecution:
-    """One in-flight process instance, advanced a hop at a time.
-
-    Created by :meth:`InMemoryRuntime.start`.  :meth:`step` executes the
-    next queued activity and returns its :class:`StepTrace`, or ``None``
-    once the instance has run to completion; executions can be
-    interleaved by round-robining :meth:`step` across them.
-    """
-
-    def __init__(self,
-                 runtime: "InMemoryRuntime",
-                 initial_document: Dra4wfmsDocument,
-                 definition: WorkflowDefinition,
-                 responders: Mapping[str, Responder | Mapping[str, str]],
-                 mode: str = "basic",
-                 max_steps: int = 10_000) -> None:
-        if mode == "advanced" and runtime.tfc is None:
-            raise RuntimeFault("advanced mode requires a TFC server")
-        self.runtime = runtime
-        self.definition = definition
-        self.responders = responders
-        self.mode = mode
-        self.max_steps = max_steps
-        self.trace = ExecutionTrace(
-            process_id=initial_document.process_id,
-            mode=mode,
-            initial_size=initial_document.size_bytes,
-        )
-        #: Deliveries: (activity id, the receiving agent's own copy).
-        self._queue: deque[tuple[str, Dra4wfmsDocument]] = deque(
-            [(definition.start_activity, initial_document.clone())]
-        )
-        # AND-join branch buffers: activity id → branch documents.
-        self._join_buffers: dict[str, list[Dra4wfmsDocument]] = {}
-        #: Activities received for execution so far (the step budget).
-        self._step = 0
-
-    @property
-    def done(self) -> bool:
-        """True once no deliveries remain (the process has finished)."""
-        return not self._queue
-
-    def pending(self) -> list[str]:
-        """Activity ids queued for delivery, in delivery order."""
-        return [activity_id for activity_id, _ in self._queue]
-
-    def step(self) -> StepTrace | None:
-        """Execute the next activity; ``None`` when the process is done.
-
-        Deliveries that merely buffer a branch document at an AND-join
-        are consumed silently — the call keeps going until an activity
-        actually executes or the queue drains.
-        """
-        while self._queue:
-            if self._step >= self.max_steps:
-                raise RuntimeFault(
-                    f"process exceeded {self.max_steps} steps "
-                    f"(runaway loop?)"
-                )
-            activity_id, document = self._queue.popleft()
-            activity = self.definition.activity(activity_id)
-            agent = self.runtime.agent_for(activity.participant)
-            arrivals = [document]
-            if activity.join is JoinKind.AND:
-                buffer = self._join_buffers.setdefault(activity_id, [])
-                buffer.append(document)
-                if len(buffer) < len(self.definition.incoming(activity_id)):
-                    continue
-                arrivals = self._join_buffers.pop(activity_id)
-            responder = self.responders.get(activity_id)
-            if responder is None:
-                raise RuntimeFault(
-                    f"no responder registered for activity {activity_id!r}"
-                )
-            self._step += 1
-
-            tfc = self.runtime.tfc if self.mode == "advanced" else None
-            result = agent.execute_activity(
-                arrivals[0], activity_id, responder,
-                mode=self.mode,
-                tfc_identity=tfc.identity if tfc else None,
-                tfc_public_key=tfc.public_key if tfc else None,
-                merge_with=arrivals[1:],
-            )
-            document, routing = result.document, result.routing
-            alpha = result.timings.verify_seconds
-            gamma = intermediate_size = None
-            if tfc is not None:
-                intermediate_size = document.size_bytes
-                tfc_result = tfc.process(document)
-                document, routing = tfc_result.document, tfc_result.routing
-                alpha += tfc_result.verify_seconds
-                gamma = tfc_result.sign_seconds
-            step_trace = StepTrace(
-                step=self._step,
-                label=f"X''_{result.activity_id}^{result.iteration}",
-                activity_id=result.activity_id,
-                iteration=result.iteration,
-                participant=activity.participant,
-                alpha=alpha,
-                beta=result.timings.sign_seconds,
-                gamma=gamma,
-                size_bytes=document.size_bytes,
-                signatures_verified=result.timings.signatures_verified,
-                num_cers=len(document.results_section),
-                mode=self.mode,
-                intermediate_size_bytes=intermediate_size,
-                document=document,
-            )
-            self.trace.steps.append(step_trace)
-            self.trace.final_document = document
-            assert routing is not None
-            for next_activity in routing.next_activities:
-                self._queue.append((next_activity, document.clone()))
-            return step_trace
-        leftover = {aid: len(docs)
-                    for aid, docs in self._join_buffers.items() if docs}
-        if leftover:
-            raise RuntimeFault(
-                f"process ended with unsatisfied AND-joins: {leftover}"
-            )
-        return None
-
-
 class InMemoryRuntime:
     """Drives a workflow process to completion among simulated parties."""
 
@@ -237,29 +112,14 @@ class InMemoryRuntime:
                 f"no key pair registered for participant {identity!r}"
             ) from None
 
-    def start(self,
-              initial_document: Dra4wfmsDocument,
-              definition: WorkflowDefinition,
-              responders: Mapping[str, Responder | Mapping[str, str]],
-              mode: str = "basic",
-              max_steps: int = 10_000) -> ProcessExecution:
-        """Begin a resumable execution (see :class:`ProcessExecution`).
-
-        Multiple executions can share one runtime and be stepped in any
-        interleaving — all per-instance state lives on the execution.
-        """
-        return ProcessExecution(
-            self, initial_document, definition, responders,
-            mode=mode, max_steps=max_steps,
-        )
-
     def run(self,
             initial_document: Dra4wfmsDocument,
             definition: WorkflowDefinition,
             responders: Mapping[str, Responder | Mapping[str, str]],
             mode: str = "basic",
             max_steps: int = 10_000) -> ExecutionTrace:
-        """Execute the whole process and return the measured trace.
+        """Execute the whole process, delivery by delivery in FIFO
+        order, and return the measured trace.
 
         Parameters
         ----------
@@ -271,9 +131,85 @@ class InMemoryRuntime:
         mode:
             ``"basic"`` or ``"advanced"`` — selects the operational
             model for *every* step.
+        max_steps:
+            Executions after which the process counts as a runaway loop.
         """
-        execution = self.start(initial_document, definition, responders,
-                               mode=mode, max_steps=max_steps)
-        while execution.step() is not None:
-            pass
-        return execution.trace
+        if mode == "advanced" and self.tfc is None:
+            raise RuntimeFault("advanced mode requires a TFC server")
+        tfc = self.tfc if mode == "advanced" else None
+        trace = ExecutionTrace(
+            process_id=initial_document.process_id,
+            mode=mode,
+            initial_size=initial_document.size_bytes,
+        )
+        # Deliveries: (activity id, the receiving agent's own copy).
+        queue: deque[tuple[str, Dra4wfmsDocument]] = deque(
+            [(definition.start_activity, initial_document.clone())]
+        )
+        # AND-join branch buffers: activity id → branch documents.
+        join_buffers: dict[str, list[Dra4wfmsDocument]] = {}
+        while queue:
+            if len(trace.steps) >= max_steps:
+                raise RuntimeFault(
+                    f"process exceeded {max_steps} steps "
+                    f"(runaway loop?)"
+                )
+            activity_id, document = queue.popleft()
+            activity = definition.activity(activity_id)
+            agent = self.agent_for(activity.participant)
+            arrivals = [document]
+            if activity.join is JoinKind.AND:
+                buffer = join_buffers.setdefault(activity_id, [])
+                buffer.append(document)
+                if len(buffer) < len(definition.incoming(activity_id)):
+                    continue
+                arrivals = join_buffers.pop(activity_id)
+            responder = responders.get(activity_id)
+            if responder is None:
+                raise RuntimeFault(
+                    f"no responder registered for activity {activity_id!r}"
+                )
+
+            result = agent.execute_activity(
+                arrivals[0], activity_id, responder,
+                mode=mode,
+                tfc_identity=tfc.identity if tfc else None,
+                tfc_public_key=tfc.public_key if tfc else None,
+                merge_with=arrivals[1:],
+            )
+            document, routing = result.document, result.routing
+            alpha = result.timings.verify_seconds
+            gamma = intermediate_size = None
+            if tfc is not None:
+                intermediate_size = document.size_bytes
+                tfc_result = tfc.process(document)
+                document, routing = tfc_result.document, tfc_result.routing
+                alpha += tfc_result.verify_seconds
+                gamma = tfc_result.sign_seconds
+            trace.steps.append(StepTrace(
+                step=len(trace.steps) + 1,
+                label=f"X''_{result.activity_id}^{result.iteration}",
+                activity_id=result.activity_id,
+                iteration=result.iteration,
+                participant=activity.participant,
+                alpha=alpha,
+                beta=result.timings.sign_seconds,
+                gamma=gamma,
+                size_bytes=document.size_bytes,
+                signatures_verified=result.timings.signatures_verified,
+                num_cers=len(document.results_section),
+                mode=mode,
+                intermediate_size_bytes=intermediate_size,
+                document=document,
+            ))
+            trace.final_document = document
+            assert routing is not None
+            for next_activity in routing.next_activities:
+                queue.append((next_activity, document.clone()))
+        leftover = {aid: len(docs)
+                    for aid, docs in join_buffers.items() if docs}
+        if leftover:
+            raise RuntimeFault(
+                f"process ended with unsatisfied AND-joins: {leftover}"
+            )
+        return trace

@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from ..errors import CertificateError
+from ..errors import CertificateError, ReproError
 from .backend import CryptoBackend, default_backend
 from .keys import KeyPair, public_key_from_dict, public_key_to_dict
 from .pure.rsa import RsaPublicKey
@@ -173,7 +173,7 @@ class CertificateAuthority:
         try:
             self.backend.verify(self.public_key, cert.tbs_bytes(),
                                 cert.signature)
-        except Exception as exc:
+        except ReproError as exc:
             raise CertificateError(f"CA signature invalid: {exc}") from exc
 
 

@@ -627,7 +627,7 @@ def _authorize(cers: list[CER], current: WorkflowDefinition,
         elif cer.kind in (KIND_STANDARD, KIND_INTERMEDIATE):
             try:
                 designated = current.activity(cer.activity_id).participant
-            except Exception as exc:
+            except ReproError as exc:
                 raise VerificationError(
                     f"CER {cer.cer_id!r} references activity "
                     f"{cer.activity_id!r} not in the definition"

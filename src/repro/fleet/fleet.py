@@ -30,9 +30,13 @@ do successor hops get scheduled.  AND-joins additionally gate on the
 before its inputs have finished in simulated time.
 
 Determinism: same seed ⇒ identical event order ⇒ byte-identical
-:class:`FleetReport`.  Process ids are derived from the seed and the
-instance index (host uuids would make HBase region splits — and hence
-captured costs — vary between runs).
+:class:`FleetReport` under full routing, and under delta routing while
+no HBase region splits or when the backend's randomness is seeded.
+Process ids are derived from the seed and the instance index (host
+uuids would make HBase region splits — and hence captured costs — vary
+between runs).  Delta chunk rows are keyed by digests of ciphertext,
+which carries the backend's random nonces and padding; after a split
+those keys decide which region takes each row.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ __all__ = ["FleetConfig", "Fleet", "audit_failed", "build_fleet",
 TFC_IDENTITY = "tfc@cloud.example"
 
 #: Visit order of captured components within one operation.
-_STAGE_ORDER = ("portal", "pool", "notify")
+_STAGE_ORDER = ("portal", "tfc", "pool", "notify")
 
 #: Parallel notification delivery workers.
 _NOTIFY_WORKERS = 4
@@ -281,14 +285,17 @@ class Fleet:
 
     def _captured_visits(self, capture: CostCapture,
                          portal_station: str = "portal",
+                         tfc_cost: float = 0.0,
                          ) -> list[tuple[Station, float]]:
-        """Turn tagged charges into an ordered station-visit list."""
+        """Turn tagged charges, plus a submission's modelled (never
+        clock-charged) *tfc_cost*, into an ordered station-visit list."""
         by = capture.by_component()
         # Anything untagged was charged by a component without a
         # station of its own; bill it to the front door.
         extra = by.pop("misc", 0.0)
         if extra:
             by["portal"] = by.get("portal", 0.0) + extra
+        by["tfc"] = tfc_cost
         visits: list[tuple[Station, float]] = []
         for name in _STAGE_ORDER:
             if by.get(name, 0.0) > 0.0:
@@ -401,29 +408,19 @@ class Fleet:
             self._resolve(instance, [])
             return
 
-        client = self._client(participant)
-        portal_station = self._portal_station(instance.process_id)
-        wire_before = client.bytes_received + client.bytes_sent
-        with self.clock.capture() as retrieve_cost:
-            document = client.retrieve_document(instance.process_id)
-        # Identical to len(retrieved bytes): the parsed document
-        # re-serializes to the exact bytes retrieved (round-trip
-        # stability), so simulated costs are unchanged by the
-        # memo-seeded retrieve path.
-        retrieved_size = document.size_bytes
         responder = self.workload.responders.get(activity_id)
         if responder is None:
             raise FleetError(
                 f"workload {self.workload.name!r} has no responder for "
                 f"activity {activity_id!r}"
             )
+        client = self._client(participant)
+        portal_station = self._portal_station(instance.process_id)
+        wire_before = client.bytes_received + client.bytes_sent
         try:
-            result = client.agent.execute_activity(
-                document, activity_id, responder,
-                mode="advanced",
-                tfc_identity=self.system.tfc.identity,
-                tfc_public_key=self.system.tfc.public_key,
-            )
+            with self.clock.capture() as retrieve_cost:
+                result = client.checkout(instance.process_id, activity_id,
+                                         responder)
         except JoinNotReady:
             # Defensive: the simulated gate should have caught this.
             self._join_retries += 1
@@ -439,32 +436,20 @@ class Fleet:
         # Crypto costs are charged on the *full* canonical sizes in
         # both routing modes: delta routing shrinks the wire and the
         # store, never what gets hashed, verified, or signed.
-        full_size = result.document.size_bytes
         aea_cost = _COSTS.aea_execute(result.timings.signatures_verified,
-                                      retrieved_size)
+                                      result.report.document.size_bytes)
         if self.system.delta_routing:
             hop_wire = (client.bytes_received + client.bytes_sent
                         - wire_before)
             aea_cost += _COSTS.delta_overhead(hop_wire)
-        tfc_cost = _COSTS.tfc_process(
-            result.timings.signatures_verified + 1, full_size
-        )
+        tfc_cost = _COSTS.tfc_process(result.timings.signatures_verified + 1,
+                                      result.document.size_bytes)
         self._leaf("crypto.aea_execute", aea_cost, "crypto")
         self._leaf("crypto.tfc_process", tfc_cost, "crypto")
-        submit_by = submit_cost.by_component()
-        visits: list[tuple[Station, float]] = []
-        visits += self._captured_visits(retrieve_cost, portal_station)
+        visits = self._captured_visits(retrieve_cost, portal_station)
         visits.append((self.stations[f"aea:{participant}"], aea_cost))
-        if submit_by.get("portal") or submit_by.get("misc"):
-            visits.append((
-                self.stations[portal_station],
-                submit_by.get("portal", 0.0) + submit_by.get("misc", 0.0),
-            ))
-        visits.append((self.stations["tfc"], tfc_cost))
-        if submit_by.get("pool"):
-            visits.append((self.stations["pool"], submit_by["pool"]))
-        if submit_by.get("notify"):
-            visits.append((self.stations["notify"], submit_by["notify"]))
+        visits += self._captured_visits(submit_cost, portal_station,
+                                        tfc_cost)
 
         next_activities = [entry.activity_id for entry in entries]
         done = (activity_id, result.iteration)

@@ -48,12 +48,7 @@ def executed_a(system, world, backend, definition, response):
                                      backend=backend, created_at=0.0)
     pid = system.client(world.keypair(DESIGNER)).upload_initial(initial)
     client = system.client(world.keypair(PARTICIPANTS["A"]))
-    result = client.agent.execute_activity(
-        client.retrieve_document(pid), "A", response, mode="advanced",
-        tfc_identity=system.tfc.identity,
-        tfc_public_key=system.tfc.public_key,
-    )
-    return client, pid, result.document
+    return client, pid, client.checkout(pid, "A", response).document
 
 
 def reorder_start_tag(cer: bytes) -> bytes:

@@ -68,11 +68,7 @@ def execute_branches(system, world, pid):
     clients, documents = {}, {}
     for activity in ("B1", "B2"):
         client = system.client(world.keypair(PARTICIPANTS[activity]))
-        result = client.agent.execute_activity(
-            client.retrieve_document(pid), activity, responders[activity],
-            mode="advanced", tfc_identity=system.tfc.identity,
-            tfc_public_key=system.tfc.public_key,
-        )
+        result = client.checkout(pid, activity, responders[activity])
         clients[activity], documents[activity] = client, result.document
     return clients, documents
 

@@ -49,6 +49,8 @@ class TestBasicModelTrace:
         assert fig9a_trace.total_beta > 0
         assert fig9a_trace.final_size == \
             fig9a_trace.steps[-1].size_bytes
+        assert fig9a_trace.final_document is \
+            fig9a_trace.steps[-1].document
 
     def test_labels(self, fig9a_trace):
         assert fig9a_trace.steps[0].label == "X''_A^0"
@@ -141,97 +143,3 @@ class TestLoopDepths:
         trace = runtime.run(initial, fig9a, figure9_responders(loops),
                             mode="basic")
         assert len(trace.steps) == expected_steps
-
-
-class TestResumableExecution:
-    """ProcessExecution: one hop per step(), interleavable instances."""
-
-    def test_step_by_step_matches_run(self, world, fig9a, backend):
-        initial = build_initial_document(fig9a, world.keypair(DESIGNER),
-                                         backend=backend)
-        runtime = InMemoryRuntime(world.directory, world.keypairs,
-                                  backend=backend)
-        execution = runtime.start(initial, fig9a, figure9_responders(0),
-                                  mode="basic")
-        steps = []
-        while (step := execution.step()) is not None:
-            steps.append(step)
-        assert execution.done
-        assert [s.activity_id for s in steps] == ["A", "B1", "B2", "C", "D"]
-        assert execution.trace.steps == steps
-        assert execution.trace.final_document is steps[-1].document
-
-    def test_pending_shows_queued_activities(self, world, fig9a, backend):
-        initial = build_initial_document(fig9a, world.keypair(DESIGNER),
-                                         backend=backend)
-        runtime = InMemoryRuntime(world.directory, world.keypairs,
-                                  backend=backend)
-        execution = runtime.start(initial, fig9a, figure9_responders(0),
-                                  mode="basic")
-        assert execution.pending() == ["A"]
-        assert not execution.done
-        execution.step()                       # A → AND-split to B1, B2
-        assert execution.pending() == ["B1", "B2"]
-
-    def test_interleaved_instances_share_a_runtime(self, world, fig9a,
-                                                   backend):
-        runtime = InMemoryRuntime(world.directory, world.keypairs,
-                                  backend=backend)
-        executions = []
-        for _ in range(3):
-            initial = build_initial_document(
-                fig9a, world.keypair(DESIGNER), backend=backend)
-            executions.append(runtime.start(
-                initial, fig9a, figure9_responders(0), mode="basic"))
-        # round-robin one hop at a time across all three instances
-        progressed = True
-        while progressed:
-            progressed = False
-            for execution in executions:
-                if execution.step() is not None:
-                    progressed = True
-        assert all(e.done for e in executions)
-        process_ids = {e.trace.process_id for e in executions}
-        assert len(process_ids) == 3
-        for execution in executions:
-            assert [s.activity_id for s in execution.trace.steps] == \
-                ["A", "B1", "B2", "C", "D"]
-
-    def test_interleaved_documents_stay_verifiable(self, world, fig9a,
-                                                   backend):
-        runtime = InMemoryRuntime(world.directory, world.keypairs,
-                                  backend=backend)
-        initials = [
-            build_initial_document(fig9a, world.keypair(DESIGNER),
-                                   backend=backend)
-            for _ in range(2)
-        ]
-        a = runtime.start(initials[0], fig9a, figure9_responders(0))
-        b = runtime.start(initials[1], fig9a, figure9_responders(0))
-        while a.step() is not None or b.step() is not None:
-            pass
-        for execution in (a, b):
-            report = verify_document(execution.trace.final_document,
-                                     world.directory, backend)
-            assert report.signatures_verified == 6
-
-    def test_step_after_done_is_none(self, world, fig9a, backend):
-        initial = build_initial_document(fig9a, world.keypair(DESIGNER),
-                                         backend=backend)
-        runtime = InMemoryRuntime(world.directory, world.keypairs,
-                                  backend=backend)
-        execution = runtime.start(initial, fig9a, figure9_responders(0))
-        while execution.step() is not None:
-            pass
-        assert execution.step() is None
-        assert execution.done
-
-    def test_advanced_mode_requires_tfc_at_start(self, world, fig9b,
-                                                 backend):
-        initial = build_initial_document(fig9b, world.keypair(DESIGNER),
-                                         backend=backend)
-        runtime = InMemoryRuntime(world.directory, world.keypairs,
-                                  backend=backend)
-        with pytest.raises(RuntimeFault, match="TFC"):
-            runtime.start(initial, fig9b, figure9_responders(0),
-                          mode="advanced")

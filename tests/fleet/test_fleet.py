@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.monitor import WorkflowMonitor
+from repro.document.resume import KeptPasses
 from repro.fleet import (
     ClosedLoop,
     CryptoCostModel,
@@ -149,6 +150,38 @@ class TestConfigValidation:
         costs = CryptoCostModel()
         assert costs.tfc_process(10, 1000) > costs.tfc_process(2, 1000)
         assert costs.aea_execute(5, 2000) > costs.aea_execute(5, 100)
+
+
+class TestAgentsResume:
+    """Fleet hops run :meth:`CloudClient.checkout`, so each AEA gets the
+    retrieved bytes and a returning participant resumes its kept pass."""
+
+    @pytest.mark.parametrize("delta", [False, True])
+    def test_every_return_visit_resumes(self, monkeypatch, delta):
+        receipts: dict[int, list[bool]] = {}
+        resume = KeptPasses.resume
+
+        def recorded(self, data, params):
+            document, kept, appended = resume(self, data, params)
+            receipts.setdefault(id(self), []).append(kept is not None)
+            return document, kept, appended
+
+        monkeypatch.setattr(KeptPasses, "resume", recorded)
+        fleet = build_fleet(
+            workload_from_spec("chain:8:3"),
+            FleetConfig(arrivals=ClosedLoop(instances=1, concurrency=1),
+                        audit_every=0),
+            delta_routing=delta,
+        )
+        report = fleet.run()
+        tfc = receipts.pop(id(fleet.system.tfc.kept_passes))
+        assert tfc == [False] + [True] * 7
+        # p0, p1 and p2 execute A0-A7 in turn: 3, 3 and 2 receipts, of
+        # which each participant's first is cold.
+        assert sorted(receipts.values()) == [[False, True],
+                                             [False, True, True],
+                                             [False, True, True]]
+        assert report.hops_executed == 8
 
 
 class TestPercentile:
