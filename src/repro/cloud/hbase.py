@@ -9,8 +9,9 @@ datasets are required":
   cells;
 * rows partitioned into **regions** by key range, hosted on **region
   servers**;
-* a write-ahead log per region server, persisted to the simulated HDFS
-  before a put is acknowledged;
+* a write-ahead log per region, one line appended to the simulated
+  HDFS per edit before the edit is acknowledged; replay after a
+  region-server crash ignores a torn last line;
 * memstore flushes to HDFS store files;
 * automatic **region splits** when a region exceeds a size threshold,
   and round-robin assignment of new regions to servers;
@@ -56,16 +57,14 @@ class Region:
     #: byte-threshold split trigger must not rescan the region per put).
     data_bytes: int = 0
     #: Write-ahead log entries since the last flush:
-    #: ("put", row_key, family, qualifier, value, timestamp) or
-    #: ("delete", row_key, "", "", b"", timestamp) tombstones.
+    #: ("put", row_key, family, qualifier, value, timestamp), or the
+    #: ("delete", row_key, "", "", b"", timestamp) and ("delcell",
+    #: row_key, family, qualifier, b"", timestamp) tombstones.
     wal: list[tuple[str, str, str, str, bytes, float]] = field(
         default_factory=list)
-    #: Per-entry encodings of :attr:`wal`, each after its ``", "``
-    #: separator, filled lazily by :meth:`encode_wal` — the WAL is
-    #: rewritten to HDFS on *every* put, so re-encoding the whole
-    #: backlog each time is quadratic.  Invariant: a prefix of ``wal``,
-    #: cleared whenever ``wal`` is.
-    _wal_cache: list[bytes] = field(default_factory=list, repr=False)
+    #: How many entries of :attr:`wal` the log file already holds;
+    #: :meth:`encode_wal` encodes only the rest.  Reset with ``wal``.
+    _wal_synced: int = field(default=0, repr=False)
     #: Row key → a view of that row's encoding inside the store file
     #: the last :meth:`encode_rows` produced.  Every row edit below
     #: drops the row's view, so a flush re-encodes only edited rows.
@@ -222,44 +221,59 @@ class Region:
         return rows
 
     def encode_wal(self) -> bytes:
-        """Serialize the pending WAL entries.
+        """Serialize the WAL entries the log file does not hold yet,
+        and count them as held: the caller appends the result.
 
-        Only entries appended since the previous call are encoded, and
-        the log is built by one ``b"".join``; the output is
-        byte-identical to ``json.dumps`` over the full list (same
-        separators), so recovery, WAL file sizes, and the clock charges
-        they drive are unchanged.
+        Each entry is one line: ``json.dumps`` of its six fields (the
+        value in base64) and ``b"\\n"``.  ``json.dumps`` escapes every
+        control and non-ASCII character, so no entry contains a raw
+        newline and the log is self-delimiting.
         """
         import base64
         import json
 
-        for op, row_key, family, qualifier, value, timestamp in \
-                self.wal[len(self._wal_cache):]:
-            separator = ", " if self._wal_cache else ""
-            self._wal_cache.append((separator + json.dumps(
-                [op, row_key, family, qualifier,
-                 base64.b64encode(value).decode("ascii"), timestamp]
-            )).encode("utf-8"))
-        return b"".join([b"[", *self._wal_cache, b"]"])
+        pending = self.wal[self._wal_synced:]
+        self._wal_synced = len(self.wal)
+        return b"".join(
+            (json.dumps([op, row_key, family, qualifier,
+                         base64.b64encode(value).decode("ascii"),
+                         timestamp]) + "\n").encode("ascii")
+            for op, row_key, family, qualifier, value, timestamp in pending
+        )
 
     def replay_wal(self, data: bytes) -> int:
-        """Apply WAL entries on top of the recovered store rows."""
+        """Apply a log's complete entries on top of the recovered store
+        rows; returns how many were applied.
+
+        Bytes after the last newline are a torn tail, an append a crash
+        cut short and so never acknowledged, and are ignored.  A
+        complete line that does not decode raises :class:`StorageError`:
+        that is corruption, and skipping it would lose an acknowledged
+        write.
+        """
         import base64
         import json
 
-        if not data:
-            return 0
-        entries = json.loads(data.decode("utf-8"))
-        for op, row_key, family, qualifier, value_b64, timestamp in entries:
-            if op == "delete":
+        *lines, _torn_tail = data.split(b"\n")
+        for number, line in enumerate(lines, 1):
+            try:
+                op, row_key, family, qualifier, value_b64, timestamp = \
+                    json.loads(line)
+                value = base64.b64decode(value_b64, validate=True)
+                if op not in ("put", "delete", "delcell"):
+                    raise ValueError(f"unknown operation {op!r}")
+            except (TypeError, ValueError) as exc:
+                raise StorageError(
+                    f"corrupt entry {number} in {self.wal_path()}: {exc}"
+                ) from exc
+            if op == "put":
+                self.set_cell(row_key, family, qualifier,
+                              Cell(value=value, timestamp=timestamp))
+            elif op == "delete":
                 self.drop_row(row_key)
-            elif op == "delcell":
-                self.drop_cells(row_key, [(family, qualifier)])
             else:
-                self.set_cell(row_key, family, qualifier, Cell(
-                    value=base64.b64decode(value_b64), timestamp=timestamp,
-                ))
-        return len(entries)
+                self.drop_cells(row_key, [(family, qualifier)])
+        return len(lines)
 
 
 @dataclass
@@ -385,7 +399,7 @@ class SimHBase:
             timestamp = self.clock.now()
             region.wal.append(("put", row_key, family, qualifier, value,
                                timestamp))
-            self.hdfs.write(region.wal_path(), region.encode_wal())
+            self.hdfs.append(region.wal_path(), region.encode_wal())
             self.clock.advance(self.network.transfer_seconds(len(value)),
                                component="pool")
             region.set_cell(row_key, family, qualifier,
@@ -445,18 +459,18 @@ class SimHBase:
             return out
 
     def _tombstone(self, region: Region, entries: list[tuple]) -> None:
-        """Append delete markers and persist the WAL once (group commit).
+        """Append delete markers to the WAL in one append (group commit).
 
         Tombstones are memstore entries like any other write (real
         HBase flushes them with the rest of the memstore): without the
-        pressure a delete-heavy sweep would grow the WAL without bound
-        and every later write would pay to rewrite it.  The flush check
-        is the caller's job, *after* applying the deletions in memory —
+        pressure a delete-heavy sweep would grow the WAL, and the
+        replay after a crash, without bound.  The flush check is the
+        caller's job, *after* applying the deletions in memory —
         flushing first would persist the doomed cells and clear the
         tombstones, resurrecting them on recovery.
         """
         region.wal.extend(entries)
-        self.hdfs.write(region.wal_path(), region.encode_wal())
+        self.hdfs.append(region.wal_path(), region.encode_wal())
         for entry in entries:
             # Key bytes plus marker overhead; the payload is empty.
             region.memstore_bytes += len(entry[1]) + 24
@@ -472,9 +486,9 @@ class SimHBase:
     def delete_rows(self, table: str, row_keys: list[str]) -> None:
         """Delete many rows, one WAL group commit per region.
 
-        The GC sweep retires hundreds of chunk rows at once; paying a
-        full WAL rewrite per row would make collection cost more than
-        the writes it reclaims.
+        The GC sweep retires hundreds of chunk rows at once; one
+        append per region, not per row, pays one round trip to the
+        log's replicas for the whole batch.
         """
         now = self.clock.now()
         by_region: dict[int, tuple[Region, list[str]]] = {}
@@ -547,7 +561,7 @@ class SimHBase:
         self.hdfs.write(region.hdfs_path(), region.encode_rows())
         region.memstore_bytes = 0
         region.wal.clear()
-        region._wal_cache.clear()
+        region._wal_synced = 0
         self.hdfs.write(region.wal_path(), b"")
         self.stats["flushes"] += 1
 
@@ -557,7 +571,7 @@ class SimHBase:
 
         The operator move after a bulk delete (HBase's ``flush`` shell
         command): persisting the memstore resets the per-region WAL, so
-        subsequent writes stop paying to rewrite a log full of
+        a region-server crash no longer replays a log full of
         tombstones.  The lifecycle sweep runs this on the tables it
         swept — regions it never touched keep their WALs.
         """
@@ -599,9 +613,11 @@ class SimHBase:
         """Fail a region server and recover its regions elsewhere.
 
         Each hosted region is rebuilt from its HDFS store file plus a
-        replay of its write-ahead log (both replicated), then assigned
-        to a surviving server — no acknowledged write is lost.  Returns
-        the number of WAL entries replayed.
+        replay of its write-ahead log (both replicated), flushed when
+        the log held anything (as HBase flushes recovered edits when it
+        reopens a region, so no later append follows a torn tail), and
+        assigned to a surviving server — no acknowledged write is lost.
+        Returns the number of WAL entries replayed.
         """
         server = self.servers.get(server_id)
         if server is None:
@@ -619,10 +635,11 @@ class SimHBase:
         for region in orphans:
             # The in-memory state died with the server: rebuild from
             # the durable store file + WAL.
-            replayed += region.restore(
-                self._read_if_exists(region.hdfs_path()),
-                self._read_if_exists(region.wal_path()),
-            )
+            store = self._read_if_exists(region.hdfs_path())
+            wal = self._read_if_exists(region.wal_path())
+            replayed += region.restore(store, wal)
+            if wal:
+                self._flush(region)
             self._assign(region)
         return replayed
 

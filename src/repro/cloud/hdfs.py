@@ -6,6 +6,8 @@ Models the parts of HDFS the paper's document pool depends on:
 * each block replicated on ``replication`` distinct datanodes;
 * datanode failure triggers re-replication of under-replicated blocks
   (the pool must be "durable and resilient to any failures", §1);
+* appends that fill a file's last block before placing new ones (the
+  HBase write-ahead log grows this way);
 * read/write costs charged to the shared :class:`SimClock` through a
   :class:`NetworkModel`.
 """
@@ -37,7 +39,8 @@ class DataNode:
 
     node_id: str
     #: Block payloads: read-only views into the immutable ``bytes`` of
-    #: the write that produced them (see :meth:`SimHdfs.write`).
+    #: the write or append that produced them (see :meth:`SimHdfs.write`
+    #: and :meth:`SimHdfs.append`).
     blocks: dict[int, memoryview] = field(default_factory=dict)
     alive: bool = True
     #: Incremental byte counter — ``used_bytes`` feeds the placement
@@ -133,27 +136,61 @@ class SimHdfs:
             if not isinstance(data, bytes):
                 data = bytes(data)
             whole = memoryview(data)
-            blocks: list[BlockInfo] = []
-            for offset in range(0, max(len(data), 1), self.block_size):
-                chunk = whole[offset:offset + self.block_size]
-                block_id = next(self._block_ids)
-                targets = self._pick_targets(self.replication)
-                for node in targets:
-                    node.store_block(block_id, chunk)
-                    self.clock.advance(
-                        self.network.transfer_seconds(len(chunk)),
-                        component="pool",
-                    )
-                blocks.append(BlockInfo(
-                    block_id=block_id, size=len(chunk),
-                    replicas=[n.node_id for n in targets],
-                ))
+            blocks = [self._place_block(whole[offset:offset + self.block_size])
+                      for offset in range(0, max(len(data), 1),
+                                          self.block_size)]
             old = self._files.get(path)
             if old is not None:
                 self._release(old)
             self._files[path] = blocks
             self.stats["writes"] += 1
             self.stats["bytes_written"] += len(data)
+
+    def append(self, path: str, data: bytes) -> None:
+        """Append to a file, creating it when absent.
+
+        As in HDFS, the bytes first fill the file's last block, which
+        is stored again on that block's replicas, and only the rest
+        goes to newly placed blocks; each replica is charged for the
+        bytes appended to it, never for the file's full size.  Every
+        block is still a read-only view into one immutable ``bytes``,
+        so filling a block copies it once (at most ``block_size``).
+        """
+        with self.clock.trace("hdfs.append", "hdfs"):
+            if not isinstance(data, bytes):
+                data = bytes(data)
+            whole = memoryview(data)
+            blocks = self._files.setdefault(path, [])
+            offset = 0
+            if blocks and blocks[-1].size < self.block_size:
+                last = blocks[-1]
+                offset = min(self.block_size - last.size, len(data))
+                filled = memoryview(
+                    b"".join((self._read_block(last), whole[:offset])))
+                for node_id in last.replicas:
+                    self.nodes[node_id].store_block(last.block_id, filled)
+                    self.clock.advance(
+                        self.network.transfer_seconds(offset),
+                        component="pool",
+                    )
+                last.size = len(filled)
+            blocks.extend(
+                self._place_block(whole[start:start + self.block_size])
+                for start in range(offset, len(data), self.block_size))
+            self.stats["writes"] += 1
+            self.stats["bytes_written"] += len(data)
+
+    def _place_block(self, chunk: memoryview) -> BlockInfo:
+        """Store *chunk* as a new block on ``replication`` nodes,
+        charging each replica for the transfer."""
+        block_id = next(self._block_ids)
+        targets = self._pick_targets(self.replication)
+        for node in targets:
+            node.store_block(block_id, chunk)
+            self.clock.advance(self.network.transfer_seconds(len(chunk)),
+                               component="pool")
+        return BlockInfo(block_id=block_id, size=len(chunk),
+                         replicas=[n.node_id for n in targets])
 
     def read(self, path: str) -> bytes:
         """Read a file from any live replica of each block."""

@@ -176,6 +176,12 @@ def amendment_from_xml(spec: ET.Element) -> Amendment:
             raise DocumentFormatError("add-activity amendment missing body")
         from ..model.controlflow import JoinKind, SplitKind
 
+        try:
+            split = SplitKind(node.get("Split", "none"))
+            join = JoinKind(node.get("Join", "none"))
+        except ValueError as exc:
+            raise DocumentFormatError(
+                f"add-activity amendment: {exc}") from exc
         activity = Activity(
             activity_id=node.get("ActivityId", ""),
             participant=node.get("Participant", ""),
@@ -189,8 +195,8 @@ def amendment_from_xml(spec: ET.Element) -> Amendment:
                           ftype=response.get("Type", "string"))
                 for response in node.findall("Responses/Response")
             ),
-            split=SplitKind(node.get("Split", "none")),
-            join=JoinKind(node.get("Join", "none")),
+            split=split,
+            join=join,
         )
         return AddActivity(
             activity=activity,

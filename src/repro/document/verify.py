@@ -619,7 +619,7 @@ def _authorize(cers: list[CER], current: WorkflowDefinition,
                 current = apply_amendment(current, amendment)
             except VerificationError:
                 raise
-            except Exception as exc:
+            except ReproError as exc:
                 raise VerificationError(
                     f"amendment CER {cer.cer_id!r} cannot be applied: "
                     f"{exc}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import base64
+import bisect
 import json
 
 import pytest
@@ -311,8 +312,32 @@ class TestWalCodec:
 
     def test_empty_wal(self):
         region = self._region()
-        assert region.encode_wal() == b"[]"
+        assert region.encode_wal() == b""
         assert self._region().replay_wal(b"") == 0
+
+    def test_encodes_each_entry_once(self):
+        region = self._region()
+        region.wal = [("put", "r1", "cf", "q", b"one", 1.0)]
+        first = region.encode_wal()
+        region.wal.append(("delete", "r1", "", "", b"", 2.0))
+        second = region.encode_wal()
+        assert region.encode_wal() == b""
+        assert first + second == _reference_wal(region.wal)
+
+    @pytest.mark.parametrize("line", [
+        b"{not json",
+        b"",
+        b"[1, 2]",
+        b'["put", "r", "cf", "q", "not base64!", 1.0]',
+        b'["drop", "r", "", "", "", 1.0]',
+    ], ids=["json", "blank", "short", "base64", "operation"])
+    def test_corrupt_complete_line_raises(self, line):
+        region = self._region()
+        region.wal = [("put", "r1", "cf", "q", b"one", 1.0),
+                      ("put", "r2", "cf", "q", b"two", 2.0)]
+        first, second = region.encode_wal().splitlines(keepends=True)
+        with pytest.raises(StorageError, match="corrupt entry 2"):
+            self._region().replay_wal(first + line + b"\n" + second)
 
     def test_unicode_wal_entries(self):
         region = self._region()
@@ -322,6 +347,100 @@ class TestWalCodec:
         fresh.replay_wal(region.encode_wal())
         value = fresh.rows["clé ☃"][("cf", "données")]
         assert value.value == b"\x00\x01\xfe"
+
+
+class TestAppendOnlyWal:
+    """Each edit appends one line to the region's log on HDFS."""
+
+    def test_bytes_per_put_do_not_grow_with_the_backlog(self):
+        cluster = SimHBase(region_servers=1, split_threshold_rows=1000)
+        cluster.create_table("t")
+        stats = cluster.hdfs.stats
+        per_put = []
+        for i in range(300):
+            before = stats["bytes_written"]
+            cluster.put("t", f"r{i:03d}", "cf", "q", b"v" * 32)
+            per_put.append(stats["bytes_written"] - before)
+        assert cluster.stats["flushes"] == 0
+        assert cluster.region_count("t") == 1
+        assert max(per_put) < 2 * min(per_put)
+
+    def test_crash_drops_a_torn_tail(self):
+        cluster = SimHBase(region_servers=3, split_threshold_rows=1000)
+        cluster.create_table("t")
+        cluster.put("t", "a", "cf", "q", b"flushed")
+        cluster.put("t", "z", "cf", "q", b"flushed")
+        cluster.flush_table("t")
+        cluster.put("t", "b", "cf", "q", b"logged")
+        cluster.delete_row("t", "a")
+        cluster.put("t", "c", "cf", "q", b"torn")
+        [region] = cluster.regions_of("t")
+        # A crash ten bytes into the last entry's append.
+        log = cluster.hdfs.read(region.wal_path())
+        last_entry = log.rindex(b"\n", 0, len(log) - 1) + 1
+        cluster.hdfs.write(region.wal_path(), log[:last_entry + 10])
+
+        assert cluster.kill_server(cluster.server_of(region).server_id) == 2
+        expected = {"b": {("cf", "q"): b"logged"},
+                    "z": {("cf", "q"): b"flushed"}}
+        assert dict(cluster.scan("t")) == expected
+        # Recovery flushed what it replayed: the torn bytes are gone
+        # and the next append starts a clean log.
+        assert cluster.hdfs.read(region.wal_path()) == b""
+        stored = Region.decode_rows(cluster.hdfs.read(region.hdfs_path()))
+        assert {key: {cq: cell.value for cq, cell in cells.items()}
+                for key, cells in stored.items()} == expected
+        cluster.put("t", "d", "cf", "q", b"after")
+        assert cluster.kill_server(cluster.server_of(region).server_id) == 1
+        assert dict(cluster.scan("t")) == {**expected,
+                                           "d": {("cf", "q"): b"after"}}
+
+
+_KEYS = st.text(alphabet="ab\n\r\x00é☃", max_size=3)
+_TIMESTAMPS = st.floats(allow_nan=False, allow_infinity=False)
+_WAL_ENTRIES = st.one_of(
+    st.tuples(st.just("put"), _KEYS, _KEYS, _KEYS, st.binary(max_size=8),
+              _TIMESTAMPS),
+    st.builds(lambda row, ts: ("delete", row, "", "", b"", ts),
+              _KEYS, _TIMESTAMPS),
+    st.builds(lambda row, family, qualifier, ts:
+              ("delcell", row, family, qualifier, b"", ts),
+              _KEYS, _KEYS, _KEYS, _TIMESTAMPS),
+)
+
+
+def _apply(entries) -> dict:
+    """Rows after *entries*, applied without the codec."""
+    rows: dict = {}
+    for op, row_key, family, qualifier, value, timestamp in entries:
+        if op == "put":
+            rows.setdefault(row_key, {})[(family, qualifier)] = \
+                Cell(value, timestamp)
+        elif op == "delete":
+            rows.pop(row_key, None)
+        elif row_key in rows:
+            rows[row_key].pop((family, qualifier), None)
+            if not rows[row_key]:
+                del rows[row_key]
+    return rows
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_WAL_ENTRIES, min_size=1, max_size=5))
+def test_replay_applies_the_entries_before_a_cut(entries):
+    """A log cut at any offset replays exactly the entries whose
+    newline comes before the cut."""
+    region = Region(region_id=5, table="t", start_key="", end_key=_END_KEY)
+    region.wal = list(entries)
+    log = region.encode_wal()
+    ends = [offset + 1 for offset, byte in enumerate(log) if byte == 0x0A]
+    assert len(ends) == len(entries)
+    for cut in range(len(log) + 1):
+        complete = bisect.bisect_right(ends, cut)
+        recovered = Region(region_id=5, table="t", start_key="",
+                           end_key=_END_KEY)
+        assert recovered.replay_wal(log[:cut]) == complete
+        assert recovered.rows == _apply(entries[:complete])
 
 
 class TestByteSplit:
@@ -472,12 +591,13 @@ def _reference_store_file(rows) -> bytes:
 
 
 def _reference_wal(entries) -> bytes:
-    """WAL as one ``json.dumps`` over every pending entry."""
-    return json.dumps([
-        [op, row_key, family, qualifier,
-         base64.b64encode(value).decode("ascii"), timestamp]
+    """WAL as one ``json.dumps`` line per pending entry."""
+    return b"".join(
+        json.dumps([op, row_key, family, qualifier,
+                    base64.b64encode(value).decode("ascii"),
+                    timestamp]).encode("utf-8") + b"\n"
         for op, row_key, family, qualifier, value, timestamp in entries
-    ]).encode("utf-8")
+    )
 
 
 _ROW_KEYS = st.sampled_from(["r0", "r1", "r2", "r3", "clé ☃", "中文键"])
@@ -516,8 +636,7 @@ def _check_engine(cluster: SimHBase, model: dict) -> None:
             assert region.recompute_bytes() == tracked
             wal = (hdfs.read(region.wal_path())
                    if hdfs.exists(region.wal_path()) else b"")
-            assert wal == (_reference_wal(region.wal) if region.wal
-                           else b"")
+            assert wal == _reference_wal(region.wal)
             store = hdfs.read(region.hdfs_path())
             if store:                     # b"" until the first flush
                 stored = Region.decode_rows(store)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.cloud.hdfs import DataNode, SimHdfs
+from repro.cloud.network import NetworkModel
 from repro.cloud.simclock import SimClock
 from repro.errors import StorageError
 
@@ -129,6 +131,75 @@ class TestFailures:
         hdfs.kill_node("dn0")
         with pytest.raises(StorageError, match="no live datanodes"):
             hdfs.write("/f", b"x")
+
+
+class TestAppend:
+    """Appends fill the last block, then place new ones (block_size 64)."""
+
+    def test_creates_missing_file(self, hdfs):
+        hdfs.append("/log", b"first")
+        assert hdfs.exists("/log")
+        assert hdfs.read("/log") == b"first"
+
+    def test_fills_last_block_on_its_replicas(self, hdfs):
+        hdfs.append("/log", b"a" * 40)
+        [first] = hdfs._files["/log"]
+        replicas = list(first.replicas)
+        hdfs.append("/log", b"b" * 40)
+        blocks = hdfs._files["/log"]
+        assert [block.size for block in blocks] == [64, 16]
+        assert blocks[0].block_id == first.block_id
+        assert blocks[0].replicas == replicas
+        for node_id in replicas:
+            stored = hdfs.nodes[node_id].blocks[first.block_id]
+            assert bytes(stored) == b"a" * 40 + b"b" * 24
+            assert stored.readonly
+
+    @pytest.mark.parametrize("start", [None, b"", b"w" * 70],
+                             ids=["missing", "empty", "written"])
+    def test_read_returns_every_append(self, hdfs, start):
+        if start is not None:
+            hdfs.write("/log", start)
+        pieces = [bytes([index]) * size
+                  for index, size in enumerate((1, 63, 64, 100, 0, 7, 200))]
+        for piece in pieces:
+            hdfs.append("/log", piece)
+        data = (start or b"") + b"".join(pieces)
+        assert hdfs.read("/log") == data
+        assert len(hdfs._files["/log"]) == math.ceil(len(data) / 64)
+        assert sum(node.used_bytes for node in hdfs.nodes.values()) == \
+            3 * len(data)
+        assert hdfs.stats["writes"] == len(pieces) + (start is not None)
+        assert hdfs.stats["bytes_written"] == len(data)
+
+    def test_each_replica_charged_for_its_appended_bytes(self):
+        # One second per byte and no latency: a charge in seconds is
+        # the number of bytes it paid for.
+        clock = SimClock()
+        hdfs = SimHdfs(datanodes=4, replication=3, block_size=64,
+                       clock=clock,
+                       network=NetworkModel(latency_seconds=0.0,
+                                            bandwidth_bytes_per_second=1.0))
+        hdfs.write("/log", b"x" * 300)
+        before = clock.now()
+        hdfs.append("/log", b"y" * 30)      # 20 fill the last block
+        assert clock.now() - before == 3 * 30
+        assert hdfs.read("/log") == b"x" * 300 + b"y" * 30
+
+    def test_kill_node_rereplicates_current_bytes(self, hdfs):
+        hdfs.append("/log", b"a" * 10)
+        [block] = hdfs._files["/log"]
+        original = list(block.replicas)
+        hdfs.append("/log", b"b" * 10)
+        hdfs.kill_node(original[0])
+        [newcomer] = set(block.replicas) - set(original)
+        assert bytes(hdfs.nodes[newcomer].blocks[block.block_id]) == \
+            b"a" * 10 + b"b" * 10
+        hdfs.append("/log", b"c" * 10)
+        for node_id in block.replicas:
+            assert bytes(hdfs.nodes[node_id].blocks[block.block_id]) == \
+                b"a" * 10 + b"b" * 10 + b"c" * 10
+        assert hdfs.read("/log") == b"a" * 10 + b"b" * 10 + b"c" * 10
 
 
 def test_needs_a_datanode():
