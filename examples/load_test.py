@@ -16,7 +16,6 @@ full signature cascade, straight from the pool.
 Run:  python examples/load_test.py
 """
 
-from repro.core.monitor import WorkflowMonitor
 from repro.fleet import ClosedLoop, FleetConfig, build_fleet, workload_from_spec
 
 INSTANCES = 200
@@ -33,18 +32,18 @@ def main() -> None:
         audit_every=40,
     )
     fleet = build_fleet(workload, config, portals=3)
-    monitor = WorkflowMonitor(tfc=fleet.system.tfc, fleet=fleet)
 
     print(f"closed loop: {INSTANCES} Fig. 9B instances, "
           f"{CONCURRENCY} in flight, seed {SEED}\n")
     report = fleet.run()
     print(report.render())
 
-    util = monitor.utilization()
+    util = {name: station.utilization
+            for name, station in sorted(report.stations.items())}
     bottleneck = max(util, key=util.get)
     print(f"\nbottleneck station: {bottleneck} "
           f"at {util[bottleneck]:.0%} utilization")
-    depths = monitor.queue_depths()[bottleneck]
+    depths = fleet.queue_depths()[bottleneck]
     peak = max(depths, key=lambda point: point[1], default=(0.0, 0))
     print(f"its queue peaked at {peak[1]} waiting jobs "
           f"(t={peak[0]:.1f} sim-s)")

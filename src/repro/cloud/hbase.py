@@ -227,19 +227,23 @@ class Region:
         Each entry is one line: ``json.dumps`` of its six fields (the
         value in base64) and ``b"\\n"``.  ``json.dumps`` escapes every
         control and non-ASCII character, so no entry contains a raw
-        newline and the log is self-delimiting.
+        newline and the log is self-delimiting.  Base64 never needs
+        escaping, so the value is spliced in as it is, between a
+        ``json.dumps`` of the four fields before it and one of the
+        timestamp: the same bytes, without a JSON pass over the value.
         """
         import base64
         import json
 
         pending = self.wal[self._wal_synced:]
         self._wal_synced = len(self.wal)
-        return b"".join(
-            (json.dumps([op, row_key, family, qualifier,
-                         base64.b64encode(value).decode("ascii"),
-                         timestamp]) + "\n").encode("ascii")
-            for op, row_key, family, qualifier, value, timestamp in pending
-        )
+        parts: list[bytes] = []
+        for op, row_key, family, qualifier, value, timestamp in pending:
+            head = json.dumps([op, row_key, family, qualifier])
+            parts += (head[:-1].encode("ascii"), b', "',
+                      base64.b64encode(value),
+                      f'", {json.dumps(timestamp)}]\n'.encode("ascii"))
+        return b"".join(parts)
 
     def replay_wal(self, data: bytes) -> int:
         """Apply a log's complete entries on top of the recovered store

@@ -5,15 +5,17 @@ some statistical analyses to workflow processes or instances stored in
 the DRA4WfMS cloud system."  The engine runs one map task per region
 (that is how HBase scans parallelise), shuffles by key, and reduces.
 
-Parallelism is simulated: every map task's real compute time is
-measured, and the job's *simulated makespan* is the maximum over the
-map waves plus the reduce time — what a cluster with one slot per
-region server would achieve.
+Parallelism is simulated: every map task is charged the network time
+of scanning its region's bytes, and the job's *simulated makespan* is
+the longest-processing-time schedule of those tasks over one slot per
+region server, charged to the shared clock under the ``pool`` tag.
+The in-memory reduce is charged nothing.  Charges follow from counts
+only, never from the host's speed, so the same pool gives the same
+makespan and the same clock on every run.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, TypeVar
 
@@ -33,16 +35,18 @@ ReduceFn = Callable[[K, list[V]], R]
 
 @dataclass
 class JobStats:
-    """Accounting for one MapReduce job."""
+    """Accounting for one MapReduce job; every second is simulated."""
 
     map_tasks: int = 0
     input_rows: int = 0
     shuffled_records: int = 0
     reduce_groups: int = 0
-    #: Sum of real compute seconds across all tasks.
+    #: Simulated seconds of all map tasks, summed (the reduce is free).
     total_compute_seconds: float = 0.0
-    #: Simulated parallel completion time.
+    #: Simulated parallel completion time, charged to the clock.
     simulated_makespan_seconds: float = 0.0
+    #: Simulated seconds of each map task: the network time of its
+    #: region's bytes.
     map_task_seconds: list[float] = field(default_factory=list)
 
 
@@ -65,7 +69,6 @@ class MapReduceEngine:
         regions = self.hbase.regions_of(table)
         slots = max(len(self.hbase.servers), 1)
         for region in regions:
-            start = time.perf_counter()
             for row_key in region.sorted_keys():
                 row = {
                     cq: cell.value for cq, cell in region.rows[row_key].items()
@@ -74,26 +77,23 @@ class MapReduceEngine:
                 for key, value in map_fn(row_key, row):
                     intermediate.setdefault(key, []).append(value)
                     stats.shuffled_records += 1
-            elapsed = time.perf_counter() - start
+            seconds = self.hbase.network.transfer_seconds(region.data_bytes)
             stats.map_tasks += 1
-            stats.map_task_seconds.append(elapsed)
-            stats.total_compute_seconds += elapsed
+            stats.map_task_seconds.append(seconds)
+            stats.total_compute_seconds += seconds
 
         # Simulated makespan: greedy longest-processing-time schedule of
         # map tasks onto the region servers' slots.
         loads = [0.0] * slots
         for task in sorted(stats.map_task_seconds, reverse=True):
             loads[loads.index(min(loads))] += task
-        map_makespan = max(loads) if loads else 0.0
+        stats.simulated_makespan_seconds = max(loads) if loads else 0.0
 
-        reduce_start = time.perf_counter()
         results = {
             key: reduce_fn(key, values)
             for key, values in intermediate.items()
         }
-        reduce_seconds = time.perf_counter() - reduce_start
-        stats.total_compute_seconds += reduce_seconds
         stats.reduce_groups = len(results)
-        stats.simulated_makespan_seconds = map_makespan + reduce_seconds
-        self.hbase.clock.advance(stats.simulated_makespan_seconds)
+        self.hbase.clock.advance(stats.simulated_makespan_seconds,
+                                 component="pool")
         return results, stats

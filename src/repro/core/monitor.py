@@ -12,15 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import fmean
-from typing import TYPE_CHECKING
 
 from ..document.document import Dra4wfmsDocument
 from ..model.definition import WorkflowDefinition
 from .state import ExecutionStatus, execution_status
 from .tfc import TfcRecord, TfcServer
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..fleet.fleet import Fleet
 
 __all__ = ["ActivityStats", "WorkflowMonitor"]
 
@@ -38,31 +34,19 @@ class ActivityStats:
 class WorkflowMonitor:
     """Query progress and statistics from TFC records and documents.
 
-    Single-instance queries (history, status, gaps) need only the TFC
-    records.  The fleet-load views — :meth:`queue_depths`,
-    :meth:`utilization` and :meth:`metrics` — additionally need a
-    :class:`~repro.fleet.fleet.Fleet` connected via the ``fleet=``
-    constructor argument or :meth:`attach_fleet`; they return ``None``
-    until one is attached.
+    Every query reads the TFC: its records, its latest document copies
+    (:meth:`status`) or its signature cache.  A fleet's load figures —
+    station utilization, queue depths and the metrics snapshot — are
+    computed once, on its :class:`~repro.fleet.report.FleetReport` and
+    by :meth:`~repro.fleet.fleet.Fleet.queue_depths`.
     """
 
     def __init__(self, tfc: TfcServer | None = None,
-                 records: list[TfcRecord] | None = None,
-                 fleet: "Fleet | None" = None) -> None:
+                 records: list[TfcRecord] | None = None) -> None:
         if tfc is None and records is None:
             raise ValueError("pass a TFC server or a record list")
         self._tfc = tfc
         self._records = records
-        self._fleet = fleet
-
-    def attach_fleet(self, fleet: "Fleet") -> None:
-        """Connect a fleet so its load metrics become queryable here.
-
-        Enables :meth:`queue_depths`, :meth:`utilization` and
-        :meth:`metrics`.  A monitor serves one fleet at a time; calling
-        this again replaces the previous attachment.
-        """
-        self._fleet = fleet
 
     @property
     def records(self) -> list[TfcRecord]:
@@ -140,44 +124,6 @@ class WorkflowMonitor:
         if cache is None:
             return None
         return cache.stats.snapshot()
-
-    # -- fleet load metrics --------------------------------------------------
-
-    def queue_depths(self) -> dict[str, list[tuple[float, int]]] | None:
-        """Per-component queue-depth time series from an attached fleet.
-
-        Each series is ``[(sim_time, depth), ...]`` step points.
-        ``None`` when no fleet is attached (single-instance operation).
-        """
-        if self._fleet is None:
-            return None
-        return self._fleet.queue_depths()
-
-    def utilization(self) -> dict[str, float] | None:
-        """Per-component utilization from an attached fleet.
-
-        Fraction of total worker capacity spent busy over the run
-        horizon.  ``None`` when no fleet is attached.
-        """
-        if self._fleet is None:
-            return None
-        return self._fleet.utilization()
-
-    def metrics(self) -> dict[str, object] | None:
-        """Metrics-registry snapshot from an attached fleet.
-
-        ``{"counters": ..., "gauges": ..., "histograms": ...}`` with
-        sorted ``name{label=value}`` keys (see ``docs/OBSERVABILITY.md``
-        for the catalog).  Requires a fleet built with
-        ``FleetConfig(collect_metrics=True)`` or an attached tracer;
-        ``None`` when no fleet is attached or collection is off.
-        During a run only the ``sim_us_total`` component counters are
-        live — the run-level counters, gauges and latency histogram
-        land when the fleet produces its report.
-        """
-        if self._fleet is None or self._fleet.metrics is None:
-            return None
-        return self._fleet.metrics.snapshot()
 
     # -- fleet statistics ------------------------------------------------------
 

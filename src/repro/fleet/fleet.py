@@ -47,7 +47,6 @@ from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, ContextManager, Mapping
 
-from ..cloud.simclock import CostCapture
 from ..cloud.system import CloudClient, CloudSystem
 from ..crypto.keys import KeyPair
 from ..document.builder import build_initial_document
@@ -220,17 +219,10 @@ class Fleet:
         #: Tracing tap: the caller's collecting tracer, or a metrics-only
         #: ``collect=False`` tracer, or ``None`` (fully untraced — the
         #: default, keeping the report byte-identical to older builds).
-        self.tracer = config.tracer
-        self.metrics: MetricsRegistry | None = None
-        self._tap: Tracer | None = None
-        if config.tracer is not None:
-            self._tap = config.tracer
-            if config.tracer.metrics is None:
-                config.tracer.metrics = MetricsRegistry()
-            self.metrics = config.tracer.metrics
-        elif config.collect_metrics:
-            self.metrics = MetricsRegistry()
-            self._tap = Tracer(collect=False, metrics=self.metrics)
+        #: With a tap, the report carries a ``metrics`` section.
+        self._tap = config.tracer
+        if self._tap is None and config.collect_metrics:
+            self._tap = Tracer(collect=False)
         if self._tap is not None:
             system.attach_tracer(self._tap)
 
@@ -283,13 +275,14 @@ class Fleet:
             return "portal"
         return f"portal:{self.system.placement.portal_for(process_id)}"
 
-    def _captured_visits(self, capture: CostCapture,
+    def _captured_visits(self, charges: dict[str, float],
                          portal_station: str = "portal",
                          tfc_cost: float = 0.0,
                          ) -> list[tuple[Station, float]]:
-        """Turn tagged charges, plus a submission's modelled (never
-        clock-charged) *tfc_cost*, into an ordered station-visit list."""
-        by = capture.by_component()
+        """Turn a capture's seconds per tag, plus a submission's
+        modelled (never clock-charged) *tfc_cost*, into an ordered
+        station-visit list."""
+        by = dict(charges)
         # Anything untagged was charged by a component without a
         # station of its own; bill it to the front door.
         extra = by.pop("misc", 0.0)
@@ -580,61 +573,51 @@ class Fleet:
         return {name: station.queue_depth_series()
                 for name, station in sorted(self.stations.items())}
 
-    def utilization(self) -> dict[str, float]:
-        """Per-station utilization over the run horizon so far."""
-        horizon = self._last_completion if self._completed else self.now
-        return {name: station.metrics(horizon).utilization
-                for name, station in sorted(self.stations.items())}
-
-    def _fill_metrics(self, horizon: float) -> None:
-        """Populate the registry from the run's terminal state."""
-        reg = self.metrics
-        assert reg is not None
-        clients = self._clients.values()
+    def _metrics(self, report: FleetReport,
+                 tap: Tracer) -> dict[str, object]:
+        """Registry snapshot of the finished report, the tap's
+        per-component totals and the signature cache's counters."""
+        reg = MetricsRegistry()
+        for component, us in tap.component_totals().items():
+            reg.counter("sim_us_total", component=component).inc(us)
         reg.counter("wire_bytes", direction="to_cloud").inc(
-            sum(c.bytes_sent for c in clients))
+            report.bytes_to_cloud)
         reg.counter("wire_bytes", direction="from_cloud").inc(
-            sum(c.bytes_received for c in clients))
-        reg.counter("hops_total").inc(self._hops)
-        reg.counter("instances_started_total").inc(self._started)
-        reg.counter("instances_completed_total").inc(self._completed)
-        reg.counter("join_retries_total").inc(self._join_retries)
-        reg.counter("audits_total").inc(self._audited)
-        reg.counter("audit_failures_total").inc(self._audit_failures)
-        store = self.system.pool.chunks
-        if store is not None:
-            for key, value in sorted(store.stats.items()):
-                reg.counter(f"chunk_store_{key}").inc(value)
+            report.bytes_from_cloud)
+        reg.counter("hops_total").inc(report.hops_executed)
+        reg.counter("instances_started_total").inc(report.instances_started)
+        reg.counter("instances_completed_total").inc(
+            report.instances_completed)
+        reg.counter("join_retries_total").inc(report.join_retries)
+        reg.counter("audits_total").inc(report.instances_audited)
+        reg.counter("audit_failures_total").inc(report.audit_failures)
+        for key, value in report.chunk_store.items():
+            reg.counter(f"chunk_store_{key}").inc(value)
         cache = self.system.verify_cache
         if cache is not None:
             reg.counter("verify_cache_hits_total").inc(cache.stats.hits)
             reg.counter("verify_cache_misses_total").inc(
                 cache.stats.misses)
             reg.gauge("verify_cache_hit_rate").set(cache.stats.hit_rate)
-        if self._lifecycle is not None:
-            life = self._lifecycle
+        life = report.lifecycle
+        if life:
             reg.counter("lifecycle_sweeps_total").inc(life["sweeps"])
-            reg.counter("instances_retired_total").inc(
-                life["instances_retired"])
-            reg.counter("manifests_compacted_total").inc(
-                life["manifests_compacted"])
-            reg.counter("gc_chunks_deleted_total").inc(
-                life["gc_chunks_deleted"])
-            reg.counter("gc_bytes_reclaimed_total").inc(
-                life["gc_bytes_reclaimed"])
-            if store is not None:
+            for name in ("instances_retired", "manifests_compacted",
+                         "gc_chunks_deleted", "gc_bytes_reclaimed"):
+                reg.counter(f"{name}_total").inc(life[name])
+            if "hot_unique_bytes" in life:
                 reg.gauge("chunk_store_hot_bytes").set(
-                    store.stats["unique_bytes"])
+                    life["hot_unique_bytes"])
                 reg.gauge("chunk_store_peak_hot_bytes").set(
                     life["peak_hot_bytes"])
-        for name, station in sorted(self.stations.items()):
-            m = station.metrics(horizon)
+        for name, m in report.stations.items():
             reg.gauge("queue_depth_max", station=name).set(
                 m.max_queue_depth)
             reg.gauge("utilization", station=name).set(m.utilization)
         hist = reg.histogram("latency_seconds")
-        for latency in self._latencies:
+        for latency in report.latencies:
             hist.observe(latency)
+        return reg.snapshot()
 
     def _report(self, events_processed: int) -> FleetReport:
         first = self._first_arrival or 0.0
@@ -661,10 +644,6 @@ class Fleet:
                 "regions": sum(len(s.regions) for s in
                                hb.servers.values()),
             }
-        metrics_snapshot: dict[str, object] = {}
-        if self.metrics is not None:
-            self._fill_metrics(horizon)
-            metrics_snapshot = self.metrics.snapshot()
         lifecycle_dict: dict[str, object] = {}
         if self._lifecycle is not None:
             lifecycle_dict = dict(self._lifecycle)
@@ -683,7 +662,7 @@ class Fleet:
                 "resident_bytes": sum(c.chunks.total_bytes
                                       for c in clients),
             }
-        return FleetReport(
+        report = FleetReport(
             workload=self.workload.name,
             mode=self.config.arrivals.mode,
             seed=self.config.seed,
@@ -696,6 +675,7 @@ class Fleet:
             hops_executed=self._hops,
             events_processed=events_processed,
             makespan_seconds=makespan,
+            horizon_seconds=horizon,
             throughput_per_second=throughput,
             latencies=list(self._latencies),
             stations={name: station.metrics(horizon)
@@ -705,9 +685,11 @@ class Fleet:
             join_retries=self._join_retries,
             placement=placement_dict,
             storage=storage,
-            metrics=metrics_snapshot,
             lifecycle=lifecycle_dict,
         )
+        if self._tap is not None:
+            report.metrics = self._metrics(report, self._tap)
+        return report
 
 
 def build_fleet(workload: FleetWorkload,

@@ -25,10 +25,10 @@ Design constraints that shape the code:
   deterministic aggregates (see ``RealFleetReport.deterministic_dict``
   and ``tests/fleet/test_real_mode.py``).
 * **Nothing dropped at the boundary.**  Each instance runs inside
-  ``clock.capture()``; its tagged simulated charges come back as plain
-  ``(component, seconds)`` pairs and the parent merges them through
-  :meth:`~repro.cloud.simclock.SimClock.absorb` into its own capture
-  bucket, preserving per-component attribution across processes.
+  ``clock.capture()``; its simulated seconds per component come back as
+  plain ``(component, seconds)`` pairs, and the parent adds them up in
+  instance-index order, so per-component attribution survives the
+  process boundary and the sums do not depend on the worker count.
 
 The audit hook cold-verifies every ``audit_every``-th instance *by
 index* (the simulated fleet audits by completion order, which is not
@@ -43,7 +43,6 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 
-from ..cloud.simclock import SimClock
 from ..cloud.system import CloudSystem, drive_instance
 from ..document.builder import build_initial_document
 from ..document.vcache import VerificationCache
@@ -154,8 +153,8 @@ def _run_instance(index: int) -> InstanceResult:
     process_id = f"real{config.seed}-{index:06d}"
     # Per-instance tracer: each worker collects its own span tree (over
     # a fresh cursor) and ships it back as a picklable payload; the
-    # parent re-bases and concatenates them in index order, mirroring
-    # how the simulated charges merge through CostCapture/absorb.
+    # parent re-bases and concatenates them in index order, the order
+    # it adds up the instances' simulated seconds in.
     tracer = Tracer() if _worker.trace else None
     if tracer is not None:
         system.attach_tracer(tracer)
@@ -189,9 +188,7 @@ def _run_instance(index: int) -> InstanceResult:
         bytes_from_cloud=sum(c.bytes_received for c in clients.values()),
         audited=audited,
         audit_failed=failed,
-        # Aggregate per component before pickling: the report only needs
-        # sums, and the raw charge list grows with every simulated RPC.
-        charges=sorted(captured.by_component().items()),
+        charges=sorted(captured.items()),
         host_seconds=time.perf_counter() - start,
         portal=(system.portal_for(process_id).portal_id
                 if system.placement is not None else ""),
@@ -251,12 +248,12 @@ def run_real_fleet(config: RealFleetConfig,
         for result in results:
             if result.trace is not None:
                 tracer.absorb(result.trace)
-    clock = SimClock()
-    with clock.capture() as merged:
-        for result in results:
-            clock.absorb(result.charges)
+    totals: dict[str, float] = {}
+    for result in results:
+        for component, seconds in result.charges:
+            totals[component] = totals.get(component, 0.0) + seconds
     sim_seconds = {component: round(seconds, 9)
-                   for component, seconds in merged.by_component().items()}
+                   for component, seconds in totals.items()}
 
     portal_counts: dict[str, int] = {}
     for result in results:

@@ -42,6 +42,10 @@ class FleetReport:
     events_processed: int
     #: Simulated seconds from first arrival to last completion.
     makespan_seconds: float
+    #: Simulated seconds from t = 0 to the last completion: the horizon
+    #: every station's utilization is measured over.  Not serialised;
+    #: the stations' figures carry it.
+    horizon_seconds: float
     #: Completed instances per simulated second.
     throughput_per_second: float
     #: Completion latencies (arrival → final store), simulated seconds.
@@ -112,17 +116,20 @@ class FleetReport:
     # -- component views ---------------------------------------------------
 
     def utilization(self) -> dict[str, float]:
-        """Per-station utilization, AEA desks rolled up under ``aea``."""
+        """Per-station utilization, AEA desks rolled up under ``aea``
+        over the same horizon as each desk (once an instance has
+        completed)."""
         out: dict[str, float] = {}
-        aea_busy = aea_capacity = 0.0
+        aea_busy = aea_workers = 0.0
         for name, metrics in sorted(self.stations.items()):
             if name.startswith("aea:"):
                 aea_busy += metrics.busy_seconds
-                aea_capacity += metrics.workers * self.makespan_seconds
+                aea_workers += metrics.workers
             else:
                 out[name] = metrics.utilization
-        if aea_capacity > 0:
-            out["aea"] = round(aea_busy / aea_capacity, 9)
+        if aea_workers and self.makespan_seconds > 0:
+            out["aea"] = round(
+                aea_busy / (aea_workers * self.horizon_seconds), 9)
         return out
 
     def portal_utilization(self) -> dict[str, float]:
@@ -283,7 +290,8 @@ class RealFleetReport:
     bytes_from_cloud: int
     instances_audited: int
     audit_failures: int
-    #: Merged simulated seconds per component tag (see SimClock.absorb).
+    #: Simulated seconds per component tag, summed over the instances
+    #: in index order.
     sim_seconds: dict[str, float] = field(default_factory=dict)
     #: Instances served per portal id (ring placement; empty otherwise).
     #: Deterministic: placement is a pure function of each process id.

@@ -1,8 +1,8 @@
 """Observability: deterministic span tracing + a metrics registry.
 
 The DRA4WfMS reproduction reports *aggregates* everywhere (FleetReport
-percentiles, CostCapture sums); this package adds the per-event view:
-follow one process instance hop by hop through portal → TFC →
+percentiles, station utilization); this package adds the per-event
+view: follow one process instance hop by hop through portal → TFC →
 HBase/HDFS → notify → crypto and see where the simulated budget goes.
 
 Three pieces:
@@ -31,7 +31,7 @@ from .export import (
     write_chrome_trace,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
-from .tracer import ChargeRecord, SpanRecord, Tracer, capture_totals_us, microseconds
+from .tracer import ChargeRecord, SpanRecord, Tracer, microseconds
 
 __all__ = [
     "ChargeRecord",
@@ -41,7 +41,6 @@ __all__ = [
     "MetricsRegistry",
     "SpanRecord",
     "Tracer",
-    "capture_totals_us",
     "microseconds",
     "summarize_chrome_trace",
     "to_chrome_trace",

@@ -7,14 +7,15 @@ monotone cursor in integer microseconds.  Every tagged
 advances the cursor and lands as a leaf event under the innermost open
 span; spans start and end at the cursor.  Because the charge stream is
 a pure function of the seed, two same-seed runs produce byte-identical
-traces — and per-tag microsecond totals equal the corresponding
-:class:`~repro.cloud.simclock.CostCapture` sums exactly (same per-charge
-rounding; see :func:`capture_totals_us`).
+traces.  Each captured charge is one leaf of its own rounded
+microseconds, so a tag's leaves sum to the seconds
+:meth:`~repro.cloud.simclock.SimClock.capture` added up for it, within
+half a microsecond per leaf.
 
 Component attribution is two-level:
 
 * a leaf's **name** is the raw charge tag (``portal``/``pool``/
-  ``notify``/``misc`` — what :class:`CostCapture` buckets by);
+  ``notify``/``misc`` — the keys of a clock capture);
 * its **component** is the innermost open span's component when one is
   set (so HBase's ``pool``-tagged charges resolve to ``hbase`` inside a
   ``SimHBase`` span, HDFS's to ``hdfs``), falling back to the tag.
@@ -25,40 +26,22 @@ knows which instance and activity it serves.
 
 Cross-process merging: a pool worker's tracer serializes to a plain
 :meth:`payload` (tuples only) and the parent re-bases it with
-:meth:`absorb`, mirroring how worker charges merge through
-:meth:`~repro.cloud.simclock.CostCapture.merge`.
+:meth:`absorb`, in instance-index order, as the real-mode runner adds up
+the workers' per-component seconds.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..cloud.simclock import CostCapture
-    from .metrics import MetricsRegistry
-
-__all__ = ["Tracer", "SpanRecord", "ChargeRecord", "microseconds",
-           "capture_totals_us"]
+__all__ = ["Tracer", "SpanRecord", "ChargeRecord", "microseconds"]
 
 
 def microseconds(seconds: float) -> int:
     """Integer microseconds of one charge — THE rounding used everywhere."""
     return int(round(float(seconds) * 1_000_000))
-
-
-def capture_totals_us(capture: "CostCapture") -> dict[str, int]:
-    """Per-tag microsecond totals of a capture, tracer-compatible.
-
-    Rounds every charge individually (exactly as the tracer does) before
-    summing, so a tracer that observed the same charge stream reports
-    equal :meth:`Tracer.tag_totals` to the microsecond.
-    """
-    out: dict[str, int] = {}
-    for tag, seconds in capture.charges:
-        out[tag] = out.get(tag, 0) + microseconds(seconds)
-    return out
 
 
 @dataclass
@@ -123,22 +106,19 @@ class _OpenSpan:
 class Tracer:
     """Collects spans + charge leaves on one deterministic cursor.
 
-    ``collect=False`` turns the tracer into a pure metrics tap: charges
-    still accumulate per-tag/per-component totals (and feed *metrics*),
-    but no event objects are retained — the fleet uses this for
-    metrics-only runs so both paths share one code path.
+    ``collect=False`` keeps only the cursor and the per-component
+    totals, retaining no event objects — the fleet uses this for
+    metrics-only runs, whose ``sim_us_total`` counters it reads from
+    :meth:`component_totals`.
     """
 
-    def __init__(self, metrics: "MetricsRegistry | None" = None,
-                 collect: bool = True) -> None:
-        self.metrics = metrics
+    def __init__(self, collect: bool = True) -> None:
         self.collect = collect
         self._seq = 0
         self._now_us = 0
         self._stack: list[_OpenSpan] = []
         self._spans: list[SpanRecord] = []
         self._charges: list[ChargeRecord] = []
-        self._tag_us: dict[str, int] = {}
         self._component_us: dict[str, int] = {}
 
     # -- cursor / totals ----------------------------------------------------
@@ -157,10 +137,6 @@ class Tracer:
     def charges(self) -> list[ChargeRecord]:
         """Charge leaves + instant markers, in record order."""
         return list(self._charges)
-
-    def tag_totals(self) -> dict[str, int]:
-        """Microseconds per raw charge tag (CostCapture-compatible)."""
-        return dict(sorted(self._tag_us.items()))
 
     def component_totals(self) -> dict[str, int]:
         """Microseconds per resolved component (hbase/hdfs split out)."""
@@ -218,7 +194,7 @@ class Tracer:
         """Record an explicit deterministic cost (e.g. a crypto charge).
 
         Advances the cursor exactly like a clock charge; *name* becomes
-        the leaf's tag (kept out of the CostCapture tags on purpose —
+        the leaf's tag (kept apart from the clock's tags on purpose —
         these are costs the clock never saw).
         """
         self._charge(name, seconds, component=component)
@@ -248,10 +224,7 @@ class Tracer:
         top = self._stack[-1] if self._stack else None
         comp = component or (top.component if top and top.component
                              else tag)
-        self._tag_us[tag] = self._tag_us.get(tag, 0) + us
         self._component_us[comp] = self._component_us.get(comp, 0) + us
-        if self.metrics is not None:
-            self.metrics.counter("sim_us_total", component=comp).inc(us)
         if self.collect:
             self._seq += 1
             self._charges.append(ChargeRecord(
@@ -288,9 +261,9 @@ class Tracer:
         Event times shift by the current cursor and sequence numbers by
         the current sequence, so merged worker traces concatenate in the
         order they are absorbed — the span-tree invariants (parents
-        enclose children, cursor monotone) are preserved.  Totals and
-        any attached metrics accumulate exactly as if the charges had
-        happened locally.
+        enclose children, cursor monotone) are preserved.  Component
+        totals accumulate exactly as if the charges had happened
+        locally.
         """
         if self._stack:
             raise RuntimeError("cannot absorb into a tracer mid-span")
@@ -309,15 +282,9 @@ class Tracer:
             charge.ts_us += ts_base
             charge.seq += seq_base
             if charge.phase == "X":
-                self._tag_us[charge.name] = (
-                    self._tag_us.get(charge.name, 0) + charge.dur_us)
                 self._component_us[charge.component] = (
                     self._component_us.get(charge.component, 0)
                     + charge.dur_us)
-                if self.metrics is not None:
-                    self.metrics.counter(
-                        "sim_us_total", component=charge.component,
-                    ).inc(charge.dur_us)
             if self.collect:
                 self._charges.append(charge)
         self._now_us = ts_base + int(payload["total_us"])  # type: ignore[arg-type]

@@ -7,7 +7,7 @@ import bisect
 import json
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.cloud.hbase import _END_KEY, Cell, Region, SimHBase
@@ -338,6 +338,23 @@ class TestWalCodec:
         first, second = region.encode_wal().splitlines(keepends=True)
         with pytest.raises(StorageError, match="corrupt entry 2"):
             self._region().replay_wal(first + line + b"\n" + second)
+
+    @settings(max_examples=200, deadline=None)
+    @given(entries=st.lists(st.tuples(
+        st.sampled_from(["put", "delete", "delcell"]),
+        st.text(), st.text(), st.text(),
+        st.binary(max_size=300),
+        st.floats(allow_nan=False, allow_infinity=False),
+    ), max_size=4))
+    @example(entries=[("put", "r\n\x00é☃", "cf\u2028", "q\"\\",
+                       bytes(range(256)) * 160, 1e-7),
+                      ("delete", "", "", "", b"", -0.0)])
+    def test_spliced_lines_equal_json_dumps(self, entries):
+        """Each line is byte for byte ``json.dumps`` of the entry's six
+        fields, whatever its keys, value and timestamp."""
+        region = self._region()
+        region.wal = list(entries)
+        assert region.encode_wal() == _reference_wal(entries)
 
     def test_unicode_wal_entries(self):
         region = self._region()

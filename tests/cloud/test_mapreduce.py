@@ -8,8 +8,7 @@ from repro.cloud.hbase import SimHBase
 from repro.cloud.mapreduce import MapReduceEngine
 
 
-@pytest.fixture()
-def cluster():
+def build_cluster() -> SimHBase:
     hbase = SimHBase(region_servers=3, split_threshold_rows=10)
     hbase.create_table("events")
     for i in range(50):
@@ -17,6 +16,11 @@ def cluster():
                   b"even" if i % 2 == 0 else b"odd")
         hbase.put("events", f"e{i:03d}", "d", "value", str(i).encode())
     return hbase
+
+
+@pytest.fixture()
+def cluster():
+    return build_cluster()
 
 
 def test_word_count_style_job(cluster):
@@ -59,6 +63,29 @@ def test_makespan_accounting(cluster):
     assert stats.simulated_makespan_seconds > 0
     assert stats.simulated_makespan_seconds <= stats.total_compute_seconds + 1e-9
     assert cluster.clock.now() >= before + stats.simulated_makespan_seconds
+
+
+def test_charges_follow_from_counts_not_host_time():
+    """Each map task costs the network time of its region's bytes, so
+    the same job over the same pool charges the same makespan and
+    leaves the clock at the same time, run after run."""
+    runs = []
+    for _ in range(2):
+        hbase = build_cluster()
+        engine = MapReduceEngine(hbase)
+        _, first = engine.run("events", lambda k, r: [("x", 1)],
+                              lambda k, v: len(v))
+        after_first = hbase.clock.now()
+        _, second = engine.run("events", lambda k, r: [("x", 1)],
+                               lambda k, v: len(v))
+        assert first == second
+        assert first.map_task_seconds == [
+            hbase.network.transfer_seconds(region.data_bytes)
+            for region in hbase.regions_of("events")]
+        assert hbase.clock.now() == (after_first
+                                     + first.simulated_makespan_seconds)
+        runs.append((first, after_first, hbase.clock.now()))
+    assert runs[0] == runs[1]
 
 
 def test_empty_table():

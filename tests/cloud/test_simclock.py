@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.cloud.simclock import CostCapture, SimClock
+from repro.cloud.simclock import SimClock
 
 
 def test_starts_at_zero():
@@ -75,11 +75,7 @@ def test_capture_freezes_time_and_records_charges():
         clock.advance(0.5, component="pool")
         clock.advance(0.25)
     assert clock.now() == 5.0
-    assert bucket.total == pytest.approx(1.75)
-    assert bucket.by_component() == pytest.approx(
-        {"portal": 1.0, "pool": 0.5, "misc": 0.25})
-    assert bucket.component("portal") == pytest.approx(1.0)
-    assert bucket.component("absent") == 0.0
+    assert bucket == {"portal": 1.0, "pool": 0.5, "misc": 0.25}
 
 
 def test_capture_restores_normal_advancing():
@@ -97,8 +93,8 @@ def test_nested_captures_see_only_their_own_charges():
         with clock.capture() as inner:
             clock.advance(2.0, component="b")
         clock.advance(3.0, component="c")
-    assert inner.by_component() == {"b": 2.0}
-    assert outer.by_component() == {"a": 1.0, "c": 3.0}
+    assert inner == {"b": 2.0}
+    assert outer == {"a": 1.0, "c": 3.0}
 
 
 def test_capture_rejects_negative_charges():
@@ -112,68 +108,17 @@ def test_capture_rejects_negative_charges():
     st.sampled_from(["portal", "pool", "notify", None]), _durations),
     max_size=30))
 def test_captured_totals_match_equivalent_advances(charges):
-    """A capture bucket accounts for exactly what advancing would cost."""
+    """A capture accounts for exactly what advancing would cost: per
+    tag, the float sum of its charges in charge order."""
     clock = SimClock()
     with clock.capture() as bucket:
         for component, seconds in charges:
             clock.advance(seconds, component=component)
     assert clock.now() == 0.0
-    assert bucket.total == pytest.approx(
+    expected: dict[str, float] = {}
+    for component, seconds in charges:
+        tag = component or "misc"
+        expected[tag] = expected.get(tag, 0.0) + seconds
+    assert bucket == expected
+    assert sum(bucket.values()) == pytest.approx(
         sum(seconds for _, seconds in charges))
-    assert sum(bucket.by_component().values()) == pytest.approx(bucket.total)
-
-
-# -- cross-process merge semantics -------------------------------------------
-
-
-def test_merge_appends_charges_with_tags():
-    bucket = CostCapture([("portal", 1.0)])
-    bucket.merge([("pool", 0.5), ("notify", 0.25)])
-    assert bucket.charges == [
-        ("portal", 1.0), ("pool", 0.5), ("notify", 0.25)]
-    assert bucket.by_component() == pytest.approx(
-        {"portal": 1.0, "pool": 0.5, "notify": 0.25})
-
-
-def test_merge_accepts_another_capture():
-    a = CostCapture([("portal", 1.0)])
-    b = CostCapture([("portal", 2.0), ("pool", 3.0)])
-    a.merge(b)
-    assert a.by_component() == pytest.approx({"portal": 3.0, "pool": 3.0})
-    # The donor is untouched.
-    assert b.by_component() == pytest.approx({"portal": 2.0, "pool": 3.0})
-
-
-def test_absorb_into_active_capture_preserves_tags():
-    """Pool-worker charges land in the capture bucket, not the floor."""
-    clock = SimClock()
-    with clock.capture() as bucket:
-        clock.advance(1.0, component="portal")
-        clock.absorb([("pool", 0.5), ("portal", 0.25)])
-    assert clock.now() == 0.0
-    assert bucket.by_component() == pytest.approx(
-        {"portal": 1.25, "pool": 0.5})
-
-
-def test_absorb_without_capture_advances_time():
-    clock = SimClock(10.0)
-    clock.absorb(CostCapture([("pool", 1.5), ("notify", 0.5)]))
-    assert clock.now() == pytest.approx(12.0)
-
-
-@given(charges=st.lists(st.tuples(
-    st.sampled_from(["portal", "pool", None]), _durations), max_size=20))
-def test_absorb_conserves_every_charge(charges):
-    """Capture-then-absorb loses nothing across the process boundary."""
-    worker = SimClock()
-    with worker.capture() as worker_bucket:
-        for component, seconds in charges:
-            worker.advance(seconds, component=component)
-    # ... the worker's bucket crosses the pickle boundary as a list ...
-    wire = list(worker_bucket.charges)
-    parent = SimClock()
-    with parent.capture() as merged:
-        parent.absorb(wire)
-    assert merged.total == pytest.approx(worker_bucket.total)
-    assert merged.by_component() == pytest.approx(
-        worker_bucket.by_component())

@@ -105,12 +105,15 @@ class TestOpenLoopRun:
             assert times == sorted(times)
 
     def test_monitor_surfaces_fleet_metrics(self, fig9_report):
+        """The monitor reads a fleet run from its TFC: a record per
+        hop, every instance, and per-activity executions that add up."""
         fleet, report = fig9_report
-        monitor = WorkflowMonitor(tfc=fleet.system.tfc, fleet=fleet)
-        assert monitor.utilization() == fleet.utilization()
-        assert monitor.queue_depths() == fleet.queue_depths()
-        # and the TFC witnessed every hop
+        monitor = WorkflowMonitor(tfc=fleet.system.tfc)
         assert len(monitor.records) == report.hops_executed
+        assert set(monitor.processes()) == set(fleet.instances)
+        executions = {activity: stats.executions
+                      for activity, stats in monitor.statistics().items()}
+        assert executions == dict.fromkeys(("A", "B1", "B2", "C", "D"), 12)
 
 
 class TestClosedLoopRun:
@@ -131,6 +134,33 @@ class TestClosedLoopRun:
     def test_no_join_retries_in_a_chain(self, closed_report):
         _, report = closed_report
         assert report.join_retries == 0
+
+
+class TestUtilizationHorizon:
+    """The ``aea`` roll-up is measured over the horizon of the desks it
+    rolls up, t = 0 to the last completion, not over the makespan, which
+    starts at the first arrival, after the cloud's set-up charges."""
+
+    @pytest.mark.parametrize("spec, arrivals", [
+        ("fig9", OpenLoop(instances=8, rate_per_second=4.0)),
+        ("chain:3", ClosedLoop(instances=6, concurrency=3)),
+    ], ids=["open", "closed"])
+    def test_aea_rollup_uses_the_station_horizon(self, spec, arrivals):
+        fleet = build_fleet(workload_from_spec(spec),
+                            FleetConfig(arrivals=arrivals, seed=4,
+                                        audit_every=0))
+        report = fleet.run()
+        # Without audits nothing charges the clock after the last
+        # completion, so the run ends at the stations' horizon.
+        horizon = fleet.now
+        assert horizon > report.makespan_seconds
+        assert all(fleet.stations[name].metrics(horizon) == metrics
+                   for name, metrics in report.stations.items())
+        desks = [metrics for name, metrics in report.stations.items()
+                 if name.startswith("aea:")]
+        busy = sum(metrics.busy_seconds for metrics in desks)
+        capacity = sum(metrics.workers for metrics in desks) * horizon
+        assert report.utilization()["aea"] == round(busy / capacity, 9)
 
 
 class TestConfigValidation:

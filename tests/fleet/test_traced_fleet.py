@@ -5,8 +5,8 @@ Four guarantees anchor the tracer's integration:
 1. **Span-tree invariants.**  Parents strictly enclose children; the
    cursor is monotone; every charged microsecond is a leaf under some
    span — the exported Chrome trace passes structural validation.
-2. **CostCapture agreement.**  Per-tag sim-time totals equal the
-   corresponding capture sums *to the microsecond* — tracing is an
+2. **Capture agreement.**  Every charge a clock capture adds up lands
+   as one leaf, rounded on its own to the microsecond — tracing is an
    observer of the charge stream, never a second bookkeeper.
 3. **Determinism.**  Same seed ⇒ byte-identical exported trace, and
    worker-count-independent traces in real mode.
@@ -37,7 +37,7 @@ from repro.fleet import (
 from repro.fleet.fleet import TFC_IDENTITY, Fleet
 from repro.obs import (
     Tracer,
-    capture_totals_us,
+    microseconds,
     to_chrome_trace,
     validate_chrome_trace,
 )
@@ -90,7 +90,6 @@ class TestSpanTreeInvariants:
         tracer = self.trace_fleet()
         assert sum(c.dur_us for c in tracer.charges
                    if c.phase == "X") == tracer.now_us
-        assert sum(tracer.tag_totals().values()) == tracer.now_us
         assert sum(tracer.component_totals().values()) == tracer.now_us
 
     def test_exported_trace_validates_with_all_components(self):
@@ -104,10 +103,18 @@ class TestSpanTreeInvariants:
                 "crypto", "fleet"} <= categories
 
 
-class TestCostCaptureAgreement:
-    def test_single_instance_capture_equals_tracer_exactly(self):
-        """One full cloud process under one capture: the tracer's
-        per-tag totals equal the capture's, to the microsecond."""
+def clock_leaves(tracer: Tracer) -> list[tuple[str, int]]:
+    """``(tag, microseconds)`` of every leaf the clock charged, in
+    order; the fleet's explicit crypto leaves are left out."""
+    return [(leaf.name, leaf.dur_us) for leaf in tracer.charges
+            if leaf.phase == "X" and not leaf.name.startswith("crypto.")]
+
+
+class TestCaptureAgreement:
+    def test_single_instance_capture_equals_leaves(self, monkeypatch):
+        """One full cloud process under one capture: each charge is one
+        leaf of its own rounded microseconds, and each tag's leaves sum
+        to its captured seconds within half a microsecond per leaf."""
         workload = workload_from_spec("chain:3:2")
         world = build_world([*workload.identities, TFC_IDENTITY],
                             bits=1024)
@@ -121,47 +128,59 @@ class TestCostCaptureAgreement:
                                          backend=world.backend)
         keypairs = {identity: world.keypair(identity)
                     for identity in workload.identities}
+        stream: list[tuple[str, float]] = []
+        original = SimClock.advance
+
+        def spy(seconds, component=None):
+            stream.append((component or "misc", seconds))
+            return original(system.clock, seconds, component=component)
+
+        monkeypatch.setattr(system.clock, "advance", spy)
         with system.clock.capture() as captured:
             run_process_in_cloud(system, workload.definition, initial,
                                  designer, keypairs,
                                  workload.responders)
-        assert captured.charges  # the run actually charged something
-        assert tracer.tag_totals() == capture_totals_us(captured)
+        assert captured  # the run actually charged something
+        sums: dict[str, float] = {}
+        for tag, seconds in stream:
+            sums[tag] = sums.get(tag, 0.0) + seconds
+        assert captured == sums
+        assert clock_leaves(tracer) == [
+            (tag, microseconds(seconds)) for tag, seconds in stream]
+        for tag, seconds in captured.items():
+            leaves = [us for name, us in clock_leaves(tracer)
+                      if name == tag]
+            assert abs(sum(leaves) - seconds * 1e6) <= 0.5 * len(leaves)
 
-    def test_fleet_totals_match_shadowed_charge_stream(self, monkeypatch):
-        """Every charge the clock hands the tracer sums to what a
-        shadow CostCapture of the same stream sums to."""
+    def test_fleet_leaves_match_shadowed_charge_stream(self, monkeypatch):
+        """Every charge the clock hands the tracer is one leaf of its
+        own rounded microseconds, in charge order."""
         tracer = Tracer()
         fleet = build_fleet(workload_from_spec(GOLDEN_SPEC),
                             golden_config(tracer=tracer))
         clock = fleet.clock
-        shadow: list[tuple[str, float]] = []
+        shadow: list[tuple[str, int]] = []
         original = SimClock.advance
 
         def spy(seconds, component=None):
             if clock.tracer is not None:  # mirrors the tracing hook
                 if clock._capture is not None:
-                    shadow.append((component or "misc", seconds))
+                    shadow.append((component or "misc",
+                                   microseconds(seconds)))
                 elif component is not None:
-                    shadow.append((component, seconds))
+                    shadow.append((component, microseconds(seconds)))
             return original(clock, seconds, component=component)
 
         monkeypatch.setattr(clock, "advance", spy)
         fleet.run()
-
-        class _Shadow:
-            charges = shadow
-
-        expected = capture_totals_us(_Shadow())
-        totals = tracer.tag_totals()
-        # The tracer additionally carries the fleet's explicit crypto
-        # leaves (names the clock never charges) — compare the shared
-        # tags only.
-        assert {tag: totals[tag] for tag in expected} == expected
-        crypto_only = set(totals) - set(expected)
-        assert crypto_only <= {"crypto.initial_sign",
-                               "crypto.aea_execute",
-                               "crypto.tfc_process"}
+        assert shadow  # the run actually charged something
+        assert clock_leaves(tracer) == shadow
+        # The rest of the cursor is the fleet's explicit crypto leaves
+        # (names the clock never charges).
+        crypto = {leaf.name for leaf in tracer.charges
+                  if leaf.phase == "X"} - {tag for tag, _ in shadow}
+        assert crypto <= {"crypto.initial_sign", "crypto.aea_execute",
+                          "crypto.tfc_process"}
 
 
 class TestDeterminism:
@@ -207,14 +226,13 @@ class TestStrictNoOp:
     def test_metrics_only_run_equals_golden_minus_metrics(self):
         golden = json.loads(
             (GOLDENS / "sim_chain6x3_seed7_full.json").read_text())
-        fleet, report = run_traced(None, collect_metrics=True)
+        _, report = run_traced(None, collect_metrics=True)
         snapshot = report.to_dict()
         metrics = snapshot.pop("metrics")
         assert snapshot == golden
         counters = metrics["counters"]
         assert counters["hops_total"] == golden["hops_executed"]
         assert counters["instances_completed_total"] == 8
-        assert fleet.metrics is not None
 
     def test_untraced_run_is_byte_identical_to_golden(self):
         golden_text = (GOLDENS / "sim_chain6x3_seed7_full.json").read_text()

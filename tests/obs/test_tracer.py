@@ -2,8 +2,8 @@
 
 The invariants pinned here are the ones the exporters and the fleet
 integration rely on: a monotone cursor advanced only by charges,
-parents strictly enclosing children, CostCapture-compatible per-tag
-totals, and a lossless cross-process payload/absorb round trip.
+parents strictly enclosing children, one leaf per captured charge, and
+a lossless cross-process payload/absorb round trip.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cloud.simclock import SimClock
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.tracer import Tracer, capture_totals_us, microseconds
+from repro.obs.tracer import Tracer, microseconds
 
 
 class TestMicroseconds:
@@ -62,7 +61,6 @@ class TestSpans:
         inside, outside = tracer.charges
         assert (inside.name, inside.component) == ("pool", "hbase")
         assert (outside.name, outside.component) == ("pool", "pool")
-        assert tracer.tag_totals() == {"pool": microseconds(0.75)}
         assert tracer.component_totals() == {
             "hbase": microseconds(0.5), "pool": microseconds(0.25),
         }
@@ -78,20 +76,38 @@ class TestSpans:
         assert marker.detail == "0.5"
 
 
+def leaf_totals(tracer: Tracer) -> dict[str, int]:
+    """Microseconds per raw charge tag, summed over the leaves."""
+    totals: dict[str, int] = {}
+    for leaf in tracer.charges:
+        if leaf.phase == "X":
+            totals[leaf.name] = totals.get(leaf.name, 0) + leaf.dur_us
+    return totals
+
+
 class TestCaptureCompatibility:
-    def test_tag_totals_match_capture_to_the_microsecond(self):
-        """A tracer watching a captured charge stream reports exactly
-        what :func:`capture_totals_us` computes from the capture."""
+    def test_leaves_match_capture_to_the_microsecond(self):
+        """A tracer watching a captured charge stream records one leaf
+        per charge, rounded on its own, so each tag's leaves sum to its
+        captured seconds within half a microsecond per leaf."""
         clock = SimClock()
         tracer = Tracer()
         clock.tracer = tracer
+        stream = []
         with clock.capture() as captured:
             for i in range(100):
-                clock.advance(0.0000005 + i * 0.0013, component="portal")
-                clock.advance(0.0021 * i, component="notify")
-                clock.advance(0.0007)  # untagged -> "misc"
-        assert tracer.tag_totals() == capture_totals_us(captured)
-        assert sum(tracer.tag_totals().values()) == tracer.now_us
+                for tag, seconds in (("portal", 0.0000005 + i * 0.0013),
+                                     ("notify", 0.0021 * i),
+                                     (None, 0.0007)):  # untagged: "misc"
+                    clock.advance(seconds, component=tag)
+                    stream.append((tag or "misc", microseconds(seconds)))
+        assert [(leaf.name, leaf.dur_us)
+                for leaf in tracer.charges] == stream
+        totals = leaf_totals(tracer)
+        assert set(totals) == set(captured) == {"portal", "notify", "misc"}
+        for tag, seconds in captured.items():
+            assert abs(totals[tag] - seconds * 1e6) <= 0.5 * 100
+        assert sum(totals.values()) == tracer.now_us
 
     def test_untagged_advances_outside_capture_not_traced(self):
         """``advance_to`` idle time is not work — only tagged charges
@@ -101,7 +117,7 @@ class TestCaptureCompatibility:
         clock.tracer = tracer
         clock.advance(5.0)  # scheduler idle: untagged, uncaptured
         clock.advance(0.5, component="portal")
-        assert tracer.tag_totals() == {"portal": microseconds(0.5)}
+        assert leaf_totals(tracer) == {"portal": microseconds(0.5)}
 
     def test_trace_muted_suppresses_charges(self):
         clock = SimClock()
@@ -116,16 +132,13 @@ class TestCaptureCompatibility:
 
 class TestMetricsTap:
     def test_collect_false_keeps_totals_drops_events(self):
-        reg = MetricsRegistry()
-        tracer = Tracer(collect=False, metrics=reg)
+        tracer = Tracer(collect=False)
         with tracer.span("hbase.put", component="hbase"):
             tracer.leaf("pool", 0.5)
         assert tracer.spans == []
         assert tracer.charges == []
         assert tracer.component_totals() == {"hbase": microseconds(0.5)}
-        snap = reg.snapshot()
-        assert (snap["counters"]["sim_us_total{component=hbase}"]
-                == microseconds(0.5))
+        assert tracer.now_us == microseconds(0.5)
 
 
 class TestPayloadAbsorb:
@@ -145,14 +158,7 @@ class TestPayloadAbsorb:
         assert parent.now_us == base + worker.now_us
         merged = parent.spans[-1]
         assert merged.start_us >= base
-        assert parent.tag_totals()["portal"] == microseconds(1.25)
-
-    def test_absorb_feeds_metrics(self):
-        reg = MetricsRegistry()
-        parent = Tracer(metrics=reg)
-        parent.absorb(self.build_worker().payload())
-        assert (reg.snapshot()["counters"]["sim_us_total{component=portal}"]
-                == microseconds(0.25))
+        assert parent.component_totals()["portal"] == microseconds(1.25)
 
     def test_open_span_cannot_serialize(self):
         tracer = Tracer()
@@ -174,5 +180,5 @@ class TestPayloadAbsorb:
         parent1.absorb(b.payload())
         parent2.absorb(b.payload())
         parent2.absorb(a.payload())
-        assert parent1.tag_totals() == parent2.tag_totals()
+        assert parent1.component_totals() == parent2.component_totals()
         assert parent1.now_us == parent2.now_us
