@@ -6,14 +6,17 @@ The acceptance claim of the delta-routing design (docs/ROUTING.md): a
 participant's first visit ships only the CERs appended since they last
 held the document.  Since the chunker memoisation pass, delta mode must
 also win on *host* wall clock — chunking is no longer allowed to cost
-more than the serialisation it replaces.  Both claims are asserted from
-the emitted ``BENCH_delta_routing.json`` payload, so the machine-
-readable artifact and the test can never disagree.
+more than the serialisation it replaces.  Host time is the median of
+:data:`ROUNDS` alternating rounds per mode, so one slow run on a shared
+host cannot decide the gate.  Both claims are asserted from the emitted
+``BENCH_delta_routing.json`` payload, so the machine-readable artifact
+and the test can never disagree.
 """
 
 from __future__ import annotations
 
 import json
+import statistics
 import time
 
 from conftest import emit_bench, emit_table
@@ -22,6 +25,8 @@ from repro.fleet import ClosedLoop, FleetConfig, build_fleet, workload_from_spec
 SPEC = "chain:50:5"
 SEED = 7
 ACCEPTANCE_RATIO = 0.15
+#: Runs per mode; each round alternates which mode runs first.
+ROUNDS = 3
 
 
 def _run(delta: bool):
@@ -40,9 +45,23 @@ def _wire(report) -> int:
     return report.bytes_to_cloud + report.bytes_from_cloud
 
 
+def _rounds() -> dict[bool, list]:
+    """``(report, host seconds)`` per mode over :data:`ROUNDS` rounds,
+    alternating which mode runs first."""
+    runs: dict[bool, list] = {False: [], True: []}
+    for index in range(ROUNDS):
+        for delta in ((False, True) if index % 2 == 0 else (True, False)):
+            runs[delta].append(_run(delta))
+    return runs
+
+
 def test_delta_moves_under_15_percent_of_full():
-    full, full_host = _run(delta=False)
-    delta, delta_host = _run(delta=True)
+    runs = _rounds()
+    (full, _), (delta, _) = runs[False][0], runs[True][0]
+    full_rounds = [host for _, host in runs[False]]
+    delta_rounds = [host for _, host in runs[True]]
+    full_host = statistics.median(full_rounds)
+    delta_host = statistics.median(delta_rounds)
 
     assert full.instances_completed == delta.instances_completed == 1
     assert full.audit_failures == delta.audit_failures == 0
@@ -70,7 +89,7 @@ def test_delta_moves_under_15_percent_of_full():
         rows,
     )
 
-    def as_dict(report, host_seconds):
+    def as_dict(report, host_seconds, host_rounds):
         return {
             "routing": report.routing,
             "bytes_on_wire": _wire(report),
@@ -82,6 +101,7 @@ def test_delta_moves_under_15_percent_of_full():
             "latency_p99": report.latency_p99,
             "hops_executed": report.hops_executed,
             "host_seconds": round(host_seconds, 3),
+            "host_seconds_rounds": [round(host, 3) for host in host_rounds],
             "chunk_store": report.chunk_store,
         }
 
@@ -90,17 +110,20 @@ def test_delta_moves_under_15_percent_of_full():
         "seed": SEED,
         "acceptance_ratio": ACCEPTANCE_RATIO,
         "measured_ratio": round(ratio, 4),
-        "full": as_dict(full, full_host),
-        "delta": as_dict(delta, delta_host),
+        "rounds": ROUNDS,
+        "full": as_dict(full, full_host, full_rounds),
+        "delta": as_dict(delta, delta_host, delta_rounds),
     })
 
     # Wall-clock regression gate, asserted from the emitted artifact:
-    # delta routing must beat full routing on *host* time too, or the
-    # chunker memoisation has regressed (it used to lose by ~30%).
+    # delta routing must beat full routing on median *host* time too,
+    # or the chunker memoisation has regressed (it used to lose by
+    # ~30%).
     payload = json.loads(emitted)
     assert (payload["delta"]["host_seconds"]
             <= payload["full"]["host_seconds"]), (
-        f"delta routing took {payload['delta']['host_seconds']}s host "
-        f"time vs {payload['full']['host_seconds']}s for full routing — "
+        f"delta routing took a median {payload['delta']['host_seconds']}s "
+        f"host time vs {payload['full']['host_seconds']}s for full "
+        f"routing over {ROUNDS} rounds — "
         f"the chunking hot path has regressed"
     )

@@ -9,21 +9,28 @@ nodes …").  We sweep the pool to thousands of documents and measure:
 * per-document store and retrieve latency (real compute time),
 * TO-DO search latency,
 * region splits and load distribution across region servers,
-* a MapReduce statistics job over the whole pool.
+* a MapReduce statistics job over the whole pool,
+* what one memstore flush rewrites as full-routing rows grow version by
+  version (``test_flush_cost_by_pool_size``).
 """
 
 from __future__ import annotations
 
+import statistics
 import time
 
-from conftest import emit_table
+from conftest import TFC_IDENTITY, emit_table
+from repro.cloud import CloudSystem, run_process_in_cloud
 from repro.cloud.hbase import SimHBase
 from repro.cloud.mapreduce import MapReduceEngine
 from repro.cloud.pool import DOC_TABLE, DocumentPool
-from repro.document import build_initial_document
-from repro.workloads.figure9 import DESIGNER
+from repro.document import Dra4wfmsDocument, build_initial_document
+from repro.workloads.figure9 import DESIGNER, figure9_responders
 
 POOL_SIZES = [100, 500, 2000]
+#: Instances per full-routing flush sweep, each storing the 11 versions
+#: of one Fig. 9B run with a loop-back (247 kB of documents).
+FLUSH_POOL_SIZES = [20, 40, 80, 160]
 
 
 def fill_pool(pool, template_bytes, count, start=0):
@@ -126,3 +133,91 @@ def test_durability_under_datanode_failure(benchmark, world, fig9a,
     under_replicated = benchmark.pedantic(exercise, rounds=1,
                                           warmup_rounds=0)
     assert under_replicated == 0
+
+
+def test_flush_cost_by_pool_size(benchmark, world, fig9b, backend):
+    """What one memstore flush rewrites as the pool grows.
+
+    Under full routing an instance's row holds every version of its
+    document.  Each pool stores the versions of one executed Fig. 9B
+    instance (one loop-back) for every instance, a version at a time
+    round the instances, so every row grows together.  A region splits
+    once its stored bytes exceed ``split_threshold_bytes``, so a flush
+    rewrites one bounded region however large the table grows.  The
+    counts are exact; host time per flush is recorded, not bounded.
+    """
+    system = CloudSystem(world.directory, world.keypair(TFC_IDENTITY),
+                         backend=backend)
+    base = f"{0:032x}"
+    initial = build_initial_document(fig9b, world.keypair(DESIGNER),
+                                     backend=backend, process_id=base,
+                                     created_at=0.0)
+    run_process_in_cloud(system, fig9b, initial, world.keypair(DESIGNER),
+                         world.keypairs, figure9_responders(1))
+    versions = [document.to_bytes()
+                for document in system.pool.history(base)]
+
+    measurements = {}
+
+    def sweep():
+        for total in FLUSH_POOL_SIZES:
+            hbase = SimHBase(region_servers=4)
+            pool = DocumentPool(hbase)
+            flushes: list[tuple[int, int, float]] = []
+
+            def recorded(region, flush=hbase._flush, hdfs=hbase.hdfs):
+                start = time.perf_counter()
+                flush(region)
+                seconds = time.perf_counter() - start
+                if region.table == DOC_TABLE:
+                    # Measuring must not move the clock that stamps
+                    # the cells: the read's charge is discarded.
+                    with hbase.clock.capture():
+                        size = len(hdfs.read(region.hdfs_path()))
+                    flushes.append((region.data_bytes, size, seconds))
+
+            hbase._flush = recorded
+            process_ids = [f"{i + 1:032x}" for i in range(total)]
+            for process_id in process_ids:
+                pool.register_process(process_id)
+            for version in versions:
+                for process_id in process_ids:
+                    pool.store(Dra4wfmsDocument.from_bytes(
+                        version.replace(base.encode(),
+                                        process_id.encode())))
+            measurements[total] = (hbase, flushes)
+        return measurements
+
+    benchmark.pedantic(sweep, rounds=1, warmup_rounds=0)
+
+    threshold = SimHBase().split_threshold_bytes
+    rows = []
+    means = []
+    for total in FLUSH_POOL_SIZES:
+        hbase, flushes = measurements[total]
+        held = max(data_bytes for data_bytes, _, _ in flushes)
+        mean_file = statistics.mean(size for _, size, _ in flushes)
+        means.append(mean_file)
+        rows.append([
+            total, hbase.total_bytes(DOC_TABLE), len(flushes),
+            hbase.stats["splits"], hbase.region_count(DOC_TABLE),
+            round(mean_file), max(size for _, size, _ in flushes),
+            f"{statistics.mean(s for _, _, s in flushes) * 1000:.2f}",
+        ])
+        # No flush encodes more than one region's worth of rows: at
+        # most the threshold plus the put that crossed it.
+        assert held <= threshold + len(versions[-1])
+        assert (hbase.region_count(DOC_TABLE)
+                > hbase.total_bytes(DOC_TABLE) // threshold)
+    emit_table(
+        "pool_flush_cost",
+        "Claim C5: store-file bytes per flush against pool size "
+        "(full routing)",
+        ["instances", "stored bytes", "flushes", "splits", "regions",
+         "store-file bytes per flush", "largest store file",
+         "host ms per flush"],
+        rows,
+    )
+    # Once the table splits, a flush rewrites as much at 8x the pool
+    # as at 2x; without byte splits it rewrites 3.9 times as much.
+    assert means[-1] < 1.25 * means[1]

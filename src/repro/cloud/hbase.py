@@ -13,8 +13,11 @@ datasets are required":
   HDFS per edit before the edit is acknowledged; replay after a
   region-server crash ignores a torn last line;
 * memstore flushes to HDFS store files;
-* automatic **region splits** when a region exceeds a size threshold,
-  and round-robin assignment of new regions to servers;
+* automatic **region splits** once a region's stored bytes exceed
+  ``split_threshold_bytes`` (4 MiB; HBase's ``hbase.hregion.max.
+  filesize``) or its rows ``split_threshold_rows``, so a memstore flush
+  rewrites one bounded region however large the table grows, and
+  round-robin assignment of new regions to servers;
 * get/put/scan costs charged to the shared sim clock.
 """
 
@@ -304,7 +307,7 @@ class SimHBase:
                  clock: SimClock | None = None,
                  network: NetworkModel = LAN,
                  split_threshold_rows: int = 256,
-                 split_threshold_bytes: int | None = None,
+                 split_threshold_bytes: int = 4 << 20,
                  auto_balance: bool = True,
                  memstore_flush_bytes: int = 1 << 20) -> None:
         if region_servers < 1:
@@ -313,10 +316,14 @@ class SimHBase:
         self.hdfs = hdfs or SimHdfs(clock=self.clock, network=network)
         self.network = network
         self.split_threshold_rows = split_threshold_rows
-        #: When set, a region also splits once its stored cell bytes
-        #: exceed this — the real HBase trigger (``hbase.hregion.max.
-        #: filesize``); row count alone under-splits tables whose rows
-        #: grow (the document table: one fat row per instance).
+        #: A region also splits once its stored cell bytes exceed this,
+        #: the real HBase trigger (``hbase.hregion.max.filesize``): row
+        #: count alone under-splits a table whose rows grow (the
+        #: full-routing documents table, one row per instance holding
+        #: every version), and each flush rewrites its region's whole
+        #: store file.  4 MiB, four memstore flushes, came from a sweep
+        #: over perfbench's ``fig9``: flush time stops tracking the pool
+        #: there, while a smaller region splits on nearly every flush.
         self.split_threshold_bytes = split_threshold_bytes
         #: Rebalance regions across servers after every split (load-
         #: driven, not operator-driven — the §3 elasticity story).
@@ -587,10 +594,8 @@ class SimHBase:
         return flushed
 
     def _needs_split(self, region: Region) -> bool:
-        if region.row_count > self.split_threshold_rows:
-            return True
-        return (self.split_threshold_bytes is not None
-                and region.data_bytes > self.split_threshold_bytes)
+        return (region.row_count > self.split_threshold_rows
+                or region.data_bytes > self.split_threshold_bytes)
 
     def _split(self, region: Region) -> None:
         keys = region.sorted_keys()

@@ -6,8 +6,8 @@ Models the parts of HDFS the paper's document pool depends on:
 * each block replicated on ``replication`` distinct datanodes;
 * datanode failure triggers re-replication of under-replicated blocks
   (the pool must be "durable and resilient to any failures", §1);
-* appends that fill a file's last block before placing new ones (the
-  HBase write-ahead log grows this way);
+* appends that fill a file's last block, in place, before placing new
+  ones (the HBase write-ahead log grows this way);
 * read/write costs charged to the shared :class:`SimClock` through a
   :class:`NetworkModel`.
 """
@@ -31,6 +31,11 @@ class BlockInfo:
     block_id: int
     size: int
     replicas: list[str] = field(default_factory=list)
+    #: Append buffer of a block that :meth:`SimHdfs.append` has filled:
+    #: its first ``size`` bytes are the block, never written again, so
+    #: the replicas' read-only views of them stay valid while later
+    #: appends write past them.
+    buffer: bytearray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -39,7 +44,8 @@ class DataNode:
 
     node_id: str
     #: Block payloads: read-only views into the immutable ``bytes`` of
-    #: the write or append that produced them (see :meth:`SimHdfs.write`
+    #: the write or append that produced them, or into the filled
+    #: prefix of an appended block's buffer (see :meth:`SimHdfs.write`
     #: and :meth:`SimHdfs.append`).
     blocks: dict[int, memoryview] = field(default_factory=dict)
     alive: bool = True
@@ -149,12 +155,13 @@ class SimHdfs:
     def append(self, path: str, data: bytes) -> None:
         """Append to a file, creating it when absent.
 
-        As in HDFS, the bytes first fill the file's last block, which
-        is stored again on that block's replicas, and only the rest
-        goes to newly placed blocks; each replica is charged for the
-        bytes appended to it, never for the file's full size.  Every
-        block is still a read-only view into one immutable ``bytes``,
-        so filling a block copies it once (at most ``block_size``).
+        As in HDFS, the bytes first fill the file's last block, whose
+        replicas then hold its longer contents, and only the rest goes
+        to newly placed blocks; each replica is charged for the bytes
+        appended to it, never for the file's full size.  Filling a
+        block copies each appended byte into the block's buffer once
+        (see :meth:`_fill`), so a log grown by small appends costs what
+        it appends, not the size of its last block on every call.
         """
         with self.clock.trace("hdfs.append", "hdfs"):
             if not isinstance(data, bytes):
@@ -165,20 +172,38 @@ class SimHdfs:
             if blocks and blocks[-1].size < self.block_size:
                 last = blocks[-1]
                 offset = min(self.block_size - last.size, len(data))
-                filled = memoryview(
-                    b"".join((self._read_block(last), whole[:offset])))
+                filled = self._fill(last, whole[:offset])
                 for node_id in last.replicas:
                     self.nodes[node_id].store_block(last.block_id, filled)
                     self.clock.advance(
                         self.network.transfer_seconds(offset),
                         component="pool",
                     )
-                last.size = len(filled)
             blocks.extend(
                 self._place_block(whole[start:start + self.block_size])
                 for start in range(offset, len(data), self.block_size))
             self.stats["writes"] += 1
             self.stats["bytes_written"] += len(data)
+
+    def _fill(self, info: BlockInfo, chunk: memoryview) -> memoryview:
+        """Write *chunk* after the block's bytes in its append buffer
+        and return a read-only view of the longer block.
+
+        The buffer doubles up to ``block_size`` as the block grows, so
+        a byte is copied O(1) times however many appends fill the
+        block, and a small log holds a small buffer.  A bigger buffer
+        is a new ``bytearray``: views of the old one keep their bytes.
+        """
+        current = self._read_block(info)    # raises once no replica lives
+        end = info.size + len(chunk)
+        buffer = info.buffer
+        if buffer is None or len(buffer) < end:
+            buffer = info.buffer = bytearray(
+                min(self.block_size, max(end, 2 * info.size)))
+            buffer[:info.size] = current
+        buffer[info.size:end] = chunk
+        info.size = end
+        return memoryview(buffer)[:end].toreadonly()
 
     def _place_block(self, chunk: memoryview) -> BlockInfo:
         """Store *chunk* as a new block on ``replication`` nodes,

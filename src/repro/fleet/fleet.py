@@ -385,20 +385,25 @@ class Fleet:
 
     def _hop_traced(self, instance: _Instance, activity_id: str) -> None:
         participant = self.definition.activity(activity_id).participant
-        pending = {
-            (entry.process_id, entry.activity_id)
-            for entry in self.system.pool.todo_for(participant)
-        }
+        portal_station = self._portal_station(instance.process_id)
+        # The participant's TO-DO poll is a pool scan like any other:
+        # it queues at the pool station ahead of the hop.
+        with self.clock.capture() as poll_cost:
+            pending = {
+                (entry.process_id, entry.activity_id)
+                for entry in self.system.pool.todo_for(participant)
+            }
+        polled = self._captured_visits(poll_cost, portal_station)
         if (instance.process_id, activity_id) not in pending:
             # A sibling attempt already executed this hop.
             self._join_retries += 1
-            self._resolve(instance, [])
+            self._chain(polled, lambda: self._resolve(instance, []))
             return
         if not self._join_ready(instance, activity_id):
             # Some incoming branch has not *finished* in simulated
             # time; its completion will schedule a fresh attempt.
             self._join_retries += 1
-            self._resolve(instance, [])
+            self._chain(polled, lambda: self._resolve(instance, []))
             return
 
         responder = self.workload.responders.get(activity_id)
@@ -408,7 +413,6 @@ class Fleet:
                 f"activity {activity_id!r}"
             )
         client = self._client(participant)
-        portal_station = self._portal_station(instance.process_id)
         wire_before = client.bytes_received + client.bytes_sent
         try:
             with self.clock.capture() as retrieve_cost:
@@ -417,8 +421,8 @@ class Fleet:
         except JoinNotReady:
             # Defensive: the simulated gate should have caught this.
             self._join_retries += 1
-            self._chain(self._captured_visits(retrieve_cost,
-                                              portal_station),
+            self._chain(polled + self._captured_visits(retrieve_cost,
+                                                       portal_station),
                         lambda: self._resolve(instance, []))
             return
 
@@ -439,7 +443,8 @@ class Fleet:
                                       result.document.size_bytes)
         self._leaf("crypto.aea_execute", aea_cost, "crypto")
         self._leaf("crypto.tfc_process", tfc_cost, "crypto")
-        visits = self._captured_visits(retrieve_cost, portal_station)
+        visits = polled + self._captured_visits(retrieve_cost,
+                                                portal_station)
         visits.append((self.stations[f"aea:{participant}"], aea_cost))
         visits += self._captured_visits(submit_cost, portal_station,
                                         tfc_cost)
@@ -527,12 +532,22 @@ class Fleet:
             self._chain(self._captured_visits(captured), lambda: None)
 
     def _audit(self, instance: _Instance) -> None:
-        """Cold full-cascade re-verification of a finished instance."""
+        """Cold full-cascade re-verification of a finished instance.
+
+        Its pool read is captured and billed to the pool station, as
+        the lifecycle sweep's work is, so an audit queues for storage
+        like any other read instead of moving the clock mid-event.
+        """
         self._audited += 1
         with self._span("audit", component="crypto",
                         instance=instance.process_id):
-            if audit_failed(self.system, instance.process_id):
+            with self.clock.capture() as captured:
+                failed = audit_failed(self.system, instance.process_id)
+            if failed:
                 self._audit_failures += 1
+            self._chain(self._captured_visits(
+                captured, self._portal_station(instance.process_id)),
+                lambda: None)
 
     # -- main loop ------------------------------------------------------------
 

@@ -10,6 +10,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cloud.hdfs import DataNode, SimHdfs
 from repro.cloud.network import NetworkModel
@@ -200,6 +202,67 @@ class TestAppend:
             assert bytes(hdfs.nodes[node_id].blocks[block.block_id]) == \
                 b"a" * 10 + b"b" * 10 + b"c" * 10
         assert hdfs.read("/log") == b"a" * 10 + b"b" * 10 + b"c" * 10
+
+
+_LOG_OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("append"), st.binary(max_size=150)),
+    st.tuples(st.just("write"), st.binary(max_size=100)),
+    st.tuples(st.just("read"), st.none()),
+    st.tuples(st.just("kill"), st.integers(0, 7)),
+), max_size=40)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_LOG_OPERATIONS)
+def test_append_matches_concatenation(operations):
+    """Appends of random sizes across block boundaries, interleaved
+    with the WAL's reset (``write``), reads and the loss of datanodes
+    holding the open block, against a plain ``bytes`` concatenation.
+    A read, or a replica's view, taken earlier keeps its bytes."""
+    hdfs = SimHdfs(datanodes=8, replication=3, block_size=64)
+    expected = b""
+    taken: list[tuple[object, bytes]] = []
+    written = 0
+    for kind, argument in operations:
+        if kind == "append":
+            hdfs.append("/log", argument)
+            expected += argument
+            written += len(argument)
+        elif kind == "write":
+            hdfs.write("/log", argument)
+            expected = argument
+            written += len(argument)
+        elif kind == "read" and hdfs.exists("/log"):
+            data = hdfs.read("/log")
+            taken.append((data, expected))
+            for block in hdfs._files["/log"]:
+                for node_id in block.replicas:
+                    view = hdfs.nodes[node_id].blocks[block.block_id]
+                    taken.append((view, bytes(view)))
+        elif kind == "kill":
+            live = sorted(node_id for node_id, node in hdfs.nodes.items()
+                          if node.alive)
+            if len(live) > 3:
+                hdfs.kill_node(live[argument % len(live)])
+        if hdfs.exists("/log"):
+            assert hdfs.read("/log") == expected
+            # Full blocks, then the open one (an empty file may hold
+            # one empty block).
+            blocks = [block for block in hdfs._files["/log"]
+                      if block.size]
+            assert [block.size for block in blocks] == [
+                len(expected[start:start + 64])
+                for start in range(0, len(expected), 64)]
+            for block, start in zip(blocks, range(0, len(expected), 64)):
+                assert len(block.replicas) == 3
+                for node_id in block.replicas:
+                    stored = hdfs.nodes[node_id].blocks[block.block_id]
+                    assert stored.readonly
+                    assert bytes(stored) == expected[start:start + 64]
+    assert hdfs.stats["bytes_written"] == written
+    assert hdfs.under_replicated_blocks() == 0
+    for view, data in taken:
+        assert bytes(view) == data
 
 
 def test_needs_a_datanode():

@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import statistics
+
 import pytest
 
 from repro.cloud import CloudSystem, run_process_in_cloud
+from repro.cloud.hbase import Region
+from repro.cloud.pool import DOC_TABLE
+from repro.cloud.system import drive_instance
 from repro.document import build_initial_document, verify_document
-from repro.workloads.figure9 import DESIGNER, figure9_responders
+from repro.workloads.figure9 import (
+    DESIGNER,
+    PARTICIPANTS,
+    figure9_responders,
+)
 
 
 @pytest.fixture()
@@ -114,3 +123,52 @@ class TestParticipantWorkload:
             "consolidator@partner.example": 2,
             "approver@megacorp.example": 2,
         }
+
+
+class TestPoolGrowth:
+    """Under full routing each instance's row holds every version of its
+    document, so the documents table grows by whole documents; a region
+    splits by bytes, and a flush rewrites one bounded region."""
+
+    def test_flush_size_stays_level_as_the_pool_grows(self, world, fig9b,
+                                                      backend,
+                                                      monkeypatch):
+        system = CloudSystem(world.directory,
+                             world.keypair("tfc@cloud.example"),
+                             backend=backend)
+        threshold = system.hbase.split_threshold_bytes
+        flushes: list[tuple[int, int]] = []
+        encode = Region.encode_rows
+
+        def recorded(region):
+            data = encode(region)
+            if region.table == DOC_TABLE:
+                flushes.append((region.data_bytes, len(data)))
+            return data
+
+        monkeypatch.setattr(Region, "encode_rows", recorded)
+        clients = [system.client(world.keypair(identity))
+                   for identity in sorted(set(PARTICIPANTS.values()))]
+        designer = system.client(world.keypair(DESIGNER))
+        index = 0
+        while system.hbase.total_bytes(DOC_TABLE) <= 2 * threshold:
+            initial = build_initial_document(
+                fig9b, world.keypair(DESIGNER), backend=backend,
+                process_id=f"{index:032x}", created_at=0.0)
+            designer.upload_initial(initial)
+            drive_instance(clients, initial.process_id,
+                           figure9_responders(1))
+            index += 1
+        largest_put = max(
+            len(cell.value)
+            for region in system.hbase.regions_of(DOC_TABLE)
+            for row in region.rows.values()
+            for cell in row.values())
+        assert system.hbase.stats["splits"] >= 2
+        assert max(held for held, _ in flushes) <= threshold + largest_put
+        half = len(flushes) // 2
+        first = statistics.mean(size for _, size in flushes[:half])
+        second = statistics.mean(size for _, size in flushes[half:])
+        # Without byte splits the second half's flushes rewrite 2.7
+        # times the bytes of the first half's.
+        assert second < 1.5 * first

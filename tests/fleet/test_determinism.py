@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cloud.pool import DOC_TABLE
 from repro.fleet import (
+    ClosedLoop,
     FleetConfig,
     OpenLoop,
     build_fleet,
@@ -58,3 +60,20 @@ class TestDeterminism:
         # but the workload shape is unchanged
         assert c.instances_completed == a.instances_completed
         assert c.hops_executed == a.hops_executed
+
+
+def test_full_routing_repeats_across_region_splits():
+    """Full routing keys every row by a seeded process id, so the
+    documents table splits by bytes at the same puts in both runs."""
+    runs = []
+    for _ in range(2):
+        fleet = build_fleet(
+            workload_from_spec("fig9", loops=1),
+            FleetConfig(arrivals=ClosedLoop(instances=20, concurrency=4),
+                        seed=3, audit_every=5),
+        )
+        runs.append((fleet, fleet.run()))
+    (first, a), (second, b) = runs
+    assert first.system.hbase.region_count(DOC_TABLE) >= 2
+    assert first.system.hbase.stats == second.system.hbase.stats
+    assert a.to_json() == b.to_json()

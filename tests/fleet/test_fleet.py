@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.monitor import WorkflowMonitor
 from repro.document.resume import KeptPasses
+from repro.fleet import fleet as fleet_module
 from repro.fleet import (
     ClosedLoop,
     CryptoCostModel,
@@ -161,6 +162,58 @@ class TestUtilizationHorizon:
         busy = sum(metrics.busy_seconds for metrics in desks)
         capacity = sum(metrics.workers for metrics in desks) * horizon
         assert report.utilization()["aea"] == round(busy / capacity, 9)
+
+
+class TestAuditBilling:
+    """An audit's pool read is captured and replayed through the pool
+    station, like every other storage operation of the run."""
+
+    def test_audits_queue_at_the_pool_station(self, monkeypatch):
+        fleet = build_fleet(
+            workload_from_spec("chain:3"),
+            FleetConfig(arrivals=ClosedLoop(instances=4, concurrency=2),
+                        seed=3, audit_every=1),
+        )
+        clock = fleet.clock
+        advance = clock.advance
+        audit_failed = fleet_module.audit_failed
+        loose: list[str] = []
+        audits: list[float] = []
+        state: dict[str, float] = {}
+
+        def charged(seconds, component=None):
+            if component is not None and clock._capture is None:
+                loose.append(component)
+            if component == "pool" and "audit" in state:
+                state["audit"] += seconds
+            return advance(seconds, component)
+
+        def audited(system, process_id):
+            state["audit"] = 0.0
+            try:
+                return audit_failed(system, process_id)
+            finally:
+                audits.append(state.pop("audit"))
+
+        monkeypatch.setattr(clock, "advance", charged)
+        monkeypatch.setattr(fleet_module, "audit_failed", audited)
+        pool = fleet.stations["pool"]
+        submit = pool.submit
+        visits: list[float] = []
+
+        def visited(arrival, service_seconds):
+            visits.append(service_seconds)
+            return submit(arrival, service_seconds)
+
+        monkeypatch.setattr(pool, "submit", visited)
+        report = fleet.run()
+        assert report.instances_audited == 4 == len(audits)
+        assert loose == []
+        assert all(seconds > 0.0 for seconds in audits)
+        for seconds in audits:
+            visits.remove(seconds)      # each audit's read: one visit
+        assert pool.busy_seconds == pytest.approx(
+            sum(audits) + sum(visits))
 
 
 class TestConfigValidation:
