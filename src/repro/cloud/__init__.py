@@ -10,10 +10,9 @@ from .hdfs import BlockInfo, DataNode, SimHdfs
 from .mapreduce import JobStats, MapReduceEngine
 from .network import LAN, WAN, NetworkModel
 from .notify import Notification, NotificationService
-from .placement import PortalPlacement, ReplicatedChunkStore
 from .pool import DOC_TABLE, TODO_TABLE, DocumentPool, PoolEntry, ProcessSummary
 from .portal import PortalServer, Session
-from .sharding import DEFAULT_VNODES, HashRing, placement_skew
+from .sharding import DEFAULT_VNODES, HashRing, PortalPlacement, placement_skew
 from .simclock import SimClock
 from .system import CloudClient, CloudSystem, run_process_in_cloud
 
@@ -39,7 +38,6 @@ __all__ = [
     "PortalServer",
     "Region",
     "RegionServer",
-    "ReplicatedChunkStore",
     "Session",
     "SimClock",
     "SimHBase",

@@ -19,17 +19,23 @@ datasets are required":
   rewrites one bounded region however large the table grows, and
   round-robin assignment of new regions to servers;
 * get/put/scan costs charged to the shared sim clock.
+
+On top of it, :class:`CerChunkStore` keeps the delta pool's
+content-addressed CER chunks: in one table, or on *R* of several shard
+tables with digest-checked read-repair.
 """
 
 from __future__ import annotations
 
 import bisect
+import hashlib
 import itertools
 from dataclasses import dataclass, field
 
-from ..errors import RegionError, StorageError
+from ..errors import CloudError, RegionError, StorageError
 from .hdfs import SimHdfs
 from .network import LAN, NetworkModel
+from .sharding import HashRing
 from .simclock import SimClock
 
 __all__ = ["Cell", "CerChunkStore", "Region", "RegionServer", "SimHBase"]
@@ -705,33 +711,68 @@ class SimHBase:
 class CerChunkStore:
     """Content-addressed chunk storage on top of :class:`SimHBase`.
 
-    One table, one row per distinct chunk, keyed by the chunk's SHA-256
-    hex — the natural dedup: a CER chunk shared by fifty hop versions
-    (or a definition chunk shared by a thousand fleet instances of the
-    same workflow) is written and stored exactly once.  Row keys are
+    One row per distinct chunk, keyed by the chunk's SHA-256 hex — the
+    natural dedup: a CER chunk shared by fifty hop versions (or a
+    definition chunk shared by a thousand fleet instances of the same
+    workflow) is written and stored exactly once.  Row keys are
     uniformly distributed (they are hashes), so regions split evenly —
     the HBase design the paper's §4.2 storage argument relies on.
 
+    **Shards.**  One shard (the default) is the table :attr:`TABLE`,
+    read in one batched multi-get; one copy has nothing to repair from,
+    and :func:`~repro.document.delta.assemble` checks every chunk.  More
+    shards hold each chunk on *replicas* of them, chosen by consistent
+    hash of its digest; reads re-hash every payload, so a corrupt
+    replica counts as missing, and **read-repair** copies the first
+    intact one back to the shards that missed.  A chunk failing its
+    SHA-256 is never served, nor repaired *from*.
+
     The store keeps an in-memory digest index (the moral equivalent of
     HBase block-cache bloom filters) so duplicate puts are suppressed
-    without a storage round-trip.
+    without a storage round-trip; read-repair bypasses it, because
+    repair is about the durable copies, not the cache.
 
     **Lifecycle** (see ``docs/STORAGE.md``): chunks are reference-
     counted by the manifests that name them — the pool :meth:`pin`\\ s a
     manifest's digests when it stores a version and :meth:`unpin`\\ s
     them when compaction or retirement drops that manifest.  A
-    :meth:`gc` sweep deletes zero-ref rows, keeping hot storage
-    O(live instances) instead of O(total history).  The ``stats`` dict
-    keeps its historical four keys (fleet-report goldens pin them);
-    lifecycle counters live in the separate ``lifecycle`` dict.
+    :meth:`gc` sweep deletes zero-ref rows, every replica of them,
+    keeping hot storage O(live instances) instead of O(total history).
+    The ``stats`` dict keeps its historical four keys on one shard
+    (fleet-report goldens pin them) and adds the replica counters on
+    more; lifecycle counters live in the separate ``lifecycle`` dict.
     """
 
     TABLE = "dra4wfms_chunks"
+    #: Virtual nodes per shard on the placement ring.
+    _RING_VNODES = 64
 
-    def __init__(self, hbase: SimHBase) -> None:
+    def __init__(self, hbase: SimHBase, shards: int = 1,
+                 replicas: int = 1) -> None:
+        if shards < 1:
+            raise StorageError("need at least one chunk shard")
+        if not isinstance(replicas, int) or isinstance(replicas, bool):
+            raise StorageError(
+                f"chunk replication factor must be an integer, "
+                f"got {replicas!r}"
+            )
+        if replicas < 1:
+            raise StorageError("chunk replication factor must be >= 1")
+        if replicas > shards:
+            raise StorageError(
+                f"cannot keep {replicas} replicas on {shards} shard(s); "
+                f"add region servers or lower the factor"
+            )
         self.hbase = hbase
-        if not hbase.has_table(self.TABLE):
-            hbase.create_table(self.TABLE)
+        self.replicas = replicas
+        self.shard_ids = [f"shard{i}" for i in range(shards)]
+        #: Digest → shards; ``None`` on one shard, which holds them all.
+        self.ring = (HashRing(self.shard_ids, vnodes=self._RING_VNODES)
+                     if shards > 1 else None)
+        for shard_id in self.shard_ids:
+            table = self._table(shard_id)
+            if not hbase.has_table(table):
+                hbase.create_table(table)
         self._known: set[str] = set()
         #: digest → stored payload length (needed to keep byte counters
         #: exact when GC deletes a row without re-reading it).
@@ -744,6 +785,9 @@ class CerChunkStore:
             "dedup_hits": 0,
             "logical_bytes": 0,
         }
+        if self.ring is not None:
+            self.stats.update(replicas=replicas, replica_fallbacks=0,
+                              read_repairs=0, corrupt_replicas=0)
         self.lifecycle = {
             "pins": 0,
             "unpins": 0,
@@ -755,13 +799,27 @@ class CerChunkStore:
     def __contains__(self, digest: str) -> bool:
         return digest in self._known
 
+    def _table(self, shard_id: str) -> str:
+        if self.ring is None:
+            return self.TABLE
+        return f"{self.TABLE}_shard-{shard_id}"
+
+    def replica_shards(self, digest: str) -> list[str]:
+        """The *replicas* shard ids holding a digest, primary first."""
+        if self.ring is None:
+            return self.shard_ids
+        return self.ring.nodes_for(digest, self.replicas)
+
+    # -- writes ---------------------------------------------------------------
+
     def put_chunk(self, digest: str, data: bytes) -> bool:
-        """Store one chunk; returns True when it was actually written."""
+        """Store one chunk on its replica set; True when newly written."""
         self.stats["logical_bytes"] += len(data)
         if digest in self._known:
             self.stats["dedup_hits"] += 1
             return False
-        self.hbase.put(self.TABLE, digest, "c", "b", data)
+        for shard_id in self.replica_shards(digest):
+            self.hbase.put(self._table(shard_id), digest, "c", "b", data)
         self._known.add(digest)
         self._sizes[digest] = len(data)
         self.stats["unique_chunks"] += 1
@@ -772,16 +830,92 @@ class CerChunkStore:
         """Store many chunks; returns how many were new."""
         return sum(self.put_chunk(d, data) for d, data in chunks.items())
 
-    def get_chunks(self, digests: list[str]) -> dict[str, bytes]:
-        """Fetch chunk payloads in one batched read.
+    # -- reads + repair -------------------------------------------------------
 
+    def get_chunks(self, digests: list[str]) -> dict[str, bytes]:
+        """Fetch chunk payloads, one batched read per shard.
+
+        On more than one shard, only digests whose primary copy is
+        missing *or corrupt* walk the replica chain individually.
         Missing digests are absent from the result (the caller decides
         whether that is a fallback condition or an error).
         """
         wanted = list(dict.fromkeys(digests))
-        rows = self.hbase.get_rows(self.TABLE, wanted)
-        return {digest: cells[("c", "b")] for digest, cells in rows.items()
-                if ("c", "b") in cells}
+        if self.ring is None:
+            rows = self.hbase.get_rows(self.TABLE, wanted)
+            return {digest: cells[("c", "b")]
+                    for digest, cells in rows.items() if ("c", "b") in cells}
+        by_shard: dict[str, list[str]] = {}
+        for digest in wanted:
+            by_shard.setdefault(self.replica_shards(digest)[0],
+                                []).append(digest)
+        out: dict[str, bytes] = {}
+        degraded: list[str] = []
+        for shard_id in sorted(by_shard):
+            rows = self.hbase.get_rows(self._table(shard_id),
+                                       by_shard[shard_id])
+            for digest in by_shard[shard_id]:
+                data = self._intact(digest, rows.get(digest, {}))
+                if data is None:
+                    degraded.append(digest)
+                else:
+                    out[digest] = data
+        for digest in degraded:
+            data = self._read_with_repair(digest)
+            if data is not None:
+                out[digest] = data
+        return out
+
+    def _intact(self, digest: str,
+                cells: dict[tuple[str, str], bytes]) -> bytes | None:
+        """A replica's payload, or None when missing or failing its digest."""
+        data = cells.get(("c", "b"))
+        if data is not None and hashlib.sha256(data).hexdigest() != digest:
+            self.stats["corrupt_replicas"] += 1
+            return None
+        return data
+
+    def _read_with_repair(self, digest: str) -> bytes | None:
+        """Walk the replicas after the primary, whose batched read came
+        back missing or corrupt; heal every shard that missed."""
+        with self.hbase.clock.trace("chunks.read_repair", "hbase"):
+            primary, *others = self.replica_shards(digest)
+            healthy: bytes | None = None
+            missed = [primary]
+            for shard_id in others:
+                data = self._intact(
+                    digest, self.hbase.get(self._table(shard_id), digest))
+                if data is None:
+                    missed.append(shard_id)
+                elif healthy is None:
+                    healthy = data
+                    self.stats["replica_fallbacks"] += 1
+            if healthy is None:
+                return None
+            for shard_id in missed:
+                self.hbase.put(self._table(shard_id), digest, "c", "b",
+                               healthy)
+                self.stats["read_repairs"] += 1
+            return healthy
+
+    def damage_replica(self, digest: str, shard_index: int = 0,
+                       corrupt: bool = False) -> str:
+        """Lose (or bit-flip) one replica of a chunk — failure-injection
+        hook for tests and the adversarial harness.  Returns the shard
+        id that was damaged."""
+        shards = self.replica_shards(digest)
+        try:
+            shard_id = shards[shard_index]
+        except IndexError:
+            raise CloudError(
+                f"chunk has only {len(shards)} replicas"
+            ) from None
+        table = self._table(shard_id)
+        if corrupt:
+            self.hbase.put(table, digest, "c", "b", b"\x00corrupt\x00")
+        else:
+            self.hbase.delete_row(table, digest)
+        return shard_id
 
     # -- lifecycle: refcounts + garbage collection ---------------------------
 
@@ -815,29 +949,32 @@ class CerChunkStore:
         """Live manifest references to one chunk."""
         return self._refs.get(digest, 0)
 
-    def _delete_chunk_rows(self, digests: list[str]) -> None:
-        """Remove the chunks' durable rows in one batch — subclasses
-        fan the batch out over their shard tables."""
-        self.hbase.delete_rows(self.TABLE, digests)
-
     def flush(self) -> int:
-        """Flush this store's table(s) — the post-GC WAL reset."""
-        return self.hbase.flush_table(self.TABLE)
+        """Flush every shard table — the post-GC WAL reset."""
+        return sum(self.hbase.flush_table(self._table(shard_id))
+                   for shard_id in self.shard_ids)
 
     def gc(self) -> tuple[int, int]:
         """Delete every stored chunk with zero references.
 
         Returns ``(chunks_deleted, bytes_reclaimed)``.  A pinned chunk
         is never touched, so a digest named by any live manifest cannot
-        be collected; byte counters shrink so ``unique_bytes`` tracks
-        the *hot* store, and a later re-put of the same digest is a
-        fresh write, not a dedup hit.
+        be collected; every replica row of a collected chunk goes, so no
+        shard serves a digest the hot tier dropped.  Byte counters
+        shrink so ``unique_bytes`` tracks the *hot* store, and a later
+        re-put of the same digest is a fresh write, not a dedup hit.
         """
         with self.hbase.clock.trace("chunks.gc", "pool"):
             dead = sorted(d for d in self._known
                           if self._refs.get(d, 0) == 0)
+            by_table: dict[str, list[str]] = {}
+            for digest in dead:
+                for shard_id in self.replica_shards(digest):
+                    by_table.setdefault(self._table(shard_id),
+                                        []).append(digest)
+            for table, keys in by_table.items():
+                self.hbase.delete_rows(table, keys)
             reclaimed = 0
-            self._delete_chunk_rows(dead)
             for digest in dead:
                 self._known.discard(digest)
                 size = self._sizes.pop(digest, 0)
@@ -851,7 +988,7 @@ class CerChunkStore:
 
     @property
     def dedup_ratio(self) -> float:
-        """Logical bytes stored per physical byte (≥ 1.0)."""
+        """Logical bytes stored per physical *unique* byte (≥ 1.0)."""
         if self.stats["unique_bytes"] == 0:
             return 1.0
         return self.stats["logical_bytes"] / self.stats["unique_bytes"]

@@ -10,6 +10,10 @@ stored as a cell in a row of an HBase table".  The pool keeps
   waiting on them ("a very similar procedure is used to obtain the
   TO-DO list in a WfMS").
 
+With delta routing a version cell holds a manifest of chunks kept in
+a :class:`~repro.cloud.hbase.CerChunkStore` (``doc:manifest``);
+:meth:`DocumentPool.row_bytes` reads either kind of row.
+
 Replay protection lives here too: :meth:`register_process` refuses a
 process id that was already registered, implementing the §2.1 claim
 that the unique process id resists replay attacks.
@@ -76,9 +80,10 @@ class DocumentPool:
     shared :class:`~repro.cloud.hbase.CerChunkStore` — so the k-th
     version of an instance writes one new CER chunk and one manifest
     instead of the whole document, and chunks dedup across versions
-    *and* across instances.  Reads reassemble and digest-check the full
-    canonical bytes, so everything downstream of the pool sees exactly
-    the bytes a full-storage pool would serve.
+    *and* across instances; ``chunk_replicas`` keeps that many copies
+    of each chunk over one shard per region server.  Reads reassemble
+    and digest-check the full canonical bytes, so everything downstream
+    of the pool sees exactly the bytes a full-storage pool would serve.
     """
 
     def __init__(self, hbase: SimHBase, delta: bool = False,
@@ -90,18 +95,10 @@ class DocumentPool:
                 hbase.create_table(table)
         self.chunks: CerChunkStore | None = None
         if delta:
-            if chunk_replicas is not None:
-                # Factor-R chunk placement over one shard per region
-                # server, digest-checked read-repair on miss — see
-                # docs/SHARDING.md.
-                from .placement import ReplicatedChunkStore
-
-                self.chunks = ReplicatedChunkStore(
-                    hbase, shards=len(hbase.servers),
-                    replicas=chunk_replicas,
-                )
-            else:
-                self.chunks = CerChunkStore(hbase)
+            self.chunks = (
+                CerChunkStore(hbase) if chunk_replicas is None
+                else CerChunkStore(hbase, shards=len(hbase.servers),
+                                   replicas=chunk_replicas))
             if not hbase.has_table(MANIFEST_TABLE):
                 hbase.create_table(MANIFEST_TABLE)
 
@@ -254,12 +251,24 @@ class DocumentPool:
         """Reassembled, digest-checked canonical bytes of *manifest*."""
         return assemble(manifest, self._fetch_chunks(manifest))
 
+    # -- stored versions ---------------------------------------------------
+
+    def _version_bytes(self, cell: bytes) -> bytes:
+        """Canonical bytes of one stored version cell: the document
+        itself, or in delta mode its manifest's reassembled chunks."""
+        if self.delta:
+            return self.assemble_bytes(Manifest.from_bytes(cell))
+        return cell
+
+    def row_bytes(self, row: dict[tuple[str, str], bytes]) -> bytes | None:
+        """Canonical bytes of the latest version a document-table row
+        holds, or None when it holds none (retired, or never stored)."""
+        cell = row.get((_FAMILY_DOC, "manifest" if self.delta else "latest"))
+        return None if cell is None else self._version_bytes(cell)
+
     def latest_bytes(self, process_id: str) -> bytes:
         """Canonical bytes of the most recent stored version."""
-        if self.delta:
-            return self.assemble_bytes(self.latest_manifest(process_id))
-        row = self.hbase.get(DOC_TABLE, process_id)
-        data = row.get((_FAMILY_DOC, "latest"))
+        data = self.row_bytes(self.hbase.get(DOC_TABLE, process_id))
         if data is None:
             raise StorageError(f"no document stored for {process_id!r}")
         return data
@@ -285,18 +294,11 @@ class DocumentPool:
     def history(self, process_id: str) -> list[Dra4wfmsDocument]:
         """Every stored version, oldest first."""
         row = self.hbase.get(DOC_TABLE, process_id)
-        versions = sorted(
-            (qualifier, data) for (family, qualifier), data in row.items()
+        return [
+            Dra4wfmsDocument.from_bytes(self._version_bytes(data))
+            for (family, _), data in sorted(row.items())
             if family == _FAMILY_HIST
-        )
-        if self.delta:
-            return [
-                Dra4wfmsDocument.from_bytes(
-                    self.assemble_bytes(Manifest.from_bytes(data))
-                )
-                for _, data in versions
-            ]
-        return [Dra4wfmsDocument.from_bytes(data) for _, data in versions]
+        ]
 
     def process_ids(self) -> list[str]:
         """All registered process ids."""
@@ -307,15 +309,14 @@ class DocumentPool:
     def summarize(self, process_id: str) -> ProcessSummary:
         """Metadata summary of one instance (no decryption)."""
         row = self.hbase.get(DOC_TABLE, process_id)
-        if self.delta:
-            data = row.get((_FAMILY_DOC, "manifest"))
-            if data is None:
-                raise StorageError(f"no document stored for {process_id!r}")
-            data = self.assemble_bytes(Manifest.from_bytes(data))
-        else:
-            data = row.get((_FAMILY_DOC, "latest"))
-            if data is None:
-                raise StorageError(f"no document stored for {process_id!r}")
+        data = self.row_bytes(row)
+        if data is None:
+            raise StorageError(f"no document stored for {process_id!r}")
+        return self._summary(process_id, row, data)
+
+    @staticmethod
+    def _summary(process_id: str, row: dict[tuple[str, str], bytes],
+                 data: bytes) -> ProcessSummary:
         document = Dra4wfmsDocument.from_bytes(data)
         completed = [
             cer for cer in document.cers(include_definition=False)
@@ -347,15 +348,15 @@ class DocumentPool:
                min_executions: int | None = None,
                include_archived: bool = False) -> list[ProcessSummary]:
         """Search pooled instances by metadata filters (AND semantics)."""
-        latest_cell = (_FAMILY_DOC, "manifest" if self.delta else "latest")
         out: list[ProcessSummary] = []
         for process_id, row in self.hbase.scan(DOC_TABLE):
-            if latest_cell not in row:
-                continue
             if not include_archived and \
                     (_FAMILY_META, "archived") in row:
                 continue
-            summary = self.summarize(process_id)
+            data = self.row_bytes(row)
+            if data is None:
+                continue
+            summary = self._summary(process_id, row, data)
             if process_name is not None and \
                     summary.process_name != process_name:
                 continue

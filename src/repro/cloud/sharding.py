@@ -4,7 +4,15 @@ The paper's §3 scalability argument is "any number of portal servers in
 front of an elastic HBase pool" — which only holds if *placement* of
 work across those portals is cheap, balanced, and stable as the tier
 grows.  This module provides the placement primitive everything else
-builds on: a **consistent-hash ring** with virtual nodes.
+builds on, a **consistent-hash ring** with virtual nodes, and its
+portal-tier user, :class:`PortalPlacement`, which pins every process
+instance to one portal for its whole lifetime.  Portals are stateless
+(all state is in the pool), so *any* portal could serve any request;
+pinning by consistent hash instead of round-robin gives each instance
+session affinity, keeps placement independent of call order, and makes
+per-portal load a pure function of the instance population.  The
+ring's other user is the sharded
+:class:`~repro.cloud.hbase.CerChunkStore`.
 
 Properties the rest of the system (and the tests) rely on:
 
@@ -23,7 +31,7 @@ Properties the rest of the system (and the tests) rely on:
   reshuffle the world.
 * **Replication-aware.**  :meth:`HashRing.nodes_for` walks the ring
   past the primary to find *r* **distinct** successor nodes — the
-  factor-R placement the replicated chunk store uses.
+  factor-R placement of the sharded chunk store.
 
 See ``docs/SHARDING.md`` for how placement, region auto-split and chunk
 replication compose into the sharded cloud tier.
@@ -37,7 +45,8 @@ from typing import Iterable, Sequence
 
 from ..errors import CloudError
 
-__all__ = ["HashRing", "DEFAULT_VNODES", "placement_skew"]
+__all__ = ["HashRing", "DEFAULT_VNODES", "PortalPlacement",
+           "placement_skew"]
 
 #: Virtual nodes per physical node.  256 arcs per node keeps the
 #: max/mean placement skew ≤ 1.25 at 10k keys for tiers of up to 8
@@ -172,3 +181,35 @@ def placement_skew(counts: dict[str, int]) -> float:
     if mean == 0:
         return 1.0
     return max(counts.values()) / mean
+
+
+class PortalPlacement:
+    """Consistent-hash pinning of process instances to portals."""
+
+    def __init__(self, portal_ids: list[str]) -> None:
+        self.ring = HashRing(portal_ids)
+        #: portal id → instances first routed there (observability).
+        self.placed: dict[str, int] = {pid: 0 for pid in portal_ids}
+        self._seen: set[str] = set()
+
+    def portal_for(self, process_id: str) -> str:
+        """The portal id owning *process_id* (counts first sightings)."""
+        portal_id = self.ring.node_for(process_id)
+        if process_id not in self._seen:
+            self._seen.add(process_id)
+            self.placed[portal_id] = self.placed.get(portal_id, 0) + 1
+        return portal_id
+
+    @property
+    def skew(self) -> float:
+        """Max/mean instances-per-portal of everything placed so far."""
+        return placement_skew(self.placed)
+
+    def to_dict(self) -> dict[str, object]:
+        """JSON-safe placement snapshot for fleet reports."""
+        return {
+            "scheme": "ring",
+            "vnodes": self.ring.vnodes,
+            "portals": dict(sorted(self.placed.items())),
+            "skew": round(self.skew, 9),
+        }

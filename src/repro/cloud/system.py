@@ -38,9 +38,9 @@ from .hdfs import SimHdfs
 from .mapreduce import JobStats, MapReduceEngine
 from .network import LAN, WAN
 from .notify import NotificationService
-from .placement import PortalPlacement
 from .pool import DOC_TABLE, DocumentPool
 from .portal import PortalServer, Session
+from .sharding import PortalPlacement
 from .simclock import SimClock
 
 __all__ = ["CloudSystem", "CloudClient", "drive_instance",
@@ -182,36 +182,25 @@ class CloudSystem:
 
     # -- fleet monitoring (MapReduce jobs of §4.2) -------------------------------
 
-    def _document_of_row(self, row) -> Dra4wfmsDocument | None:
-        """Latest document from a pool row, in either storage mode."""
-        data = row.get(("doc", "latest"))
-        if data is None and self.delta_routing:
-            manifest_bytes = row.get(("doc", "manifest"))
-            if manifest_bytes is not None:
-                from ..document.delta import Manifest
+    def _count_pool(self, records) -> tuple[dict[str, int], JobStats]:
+        """MapReduce: sum the ``(key, count)`` records that
+        ``records(document)`` yields for each pooled latest document."""
 
-                data = self.pool.assemble_bytes(
-                    Manifest.from_bytes(manifest_bytes)
-                )
-        if data is None:
-            return None
-        return Dra4wfmsDocument.from_bytes(data)
+        def map_fn(row_key, row):
+            data = self.pool.row_bytes(row)
+            if data is None:
+                return ()
+            return records(Dra4wfmsDocument.from_bytes(data))
+
+        return self.mapreduce.run(DOC_TABLE, map_fn,
+                                  lambda key, values: sum(values))
 
     def activity_statistics(self) -> tuple[dict[str, int], JobStats]:
         """MapReduce: executions per activity across all instances."""
-
-        def map_fn(row_key, row):
-            document = self._document_of_row(row)
-            if document is None:
-                return
-            for cer in document.cers(include_definition=False):
-                if cer.kind in ("standard", "tfc"):
-                    yield cer.activity_id, 1
-
-        def reduce_fn(key, values):
-            return sum(values)
-
-        return self.mapreduce.run(DOC_TABLE, map_fn, reduce_fn)
+        return self._count_pool(lambda document: (
+            (cer.activity_id, 1)
+            for cer in document.cers(include_definition=False)
+            if cer.kind in ("standard", "tfc")))
 
     def participant_workload(self) -> tuple[dict[str, int], JobStats]:
         """MapReduce: executions per participant across the pool.
@@ -220,37 +209,17 @@ class CloudSystem:
         server-side — here derived from CER metadata without decrypting
         anything.
         """
-
-        def map_fn(row_key, row):
-            document = self._document_of_row(row)
-            if document is None:
-                return
-            for cer in document.cers(include_definition=False):
-                if cer.kind in ("standard", "intermediate"):
-                    yield cer.participant, 1
-
-        def reduce_fn(key, values):
-            return sum(values)
-
-        return self.mapreduce.run(DOC_TABLE, map_fn, reduce_fn)
+        return self._count_pool(lambda document: (
+            (cer.participant, 1)
+            for cer in document.cers(include_definition=False)
+            if cer.kind in ("standard", "intermediate")))
 
     def instance_progress(self) -> tuple[dict[str, int], JobStats]:
         """MapReduce: completed executions per process instance."""
-
-        def map_fn(row_key, row):
-            document = self._document_of_row(row)
-            if document is None:
-                return
-            count = sum(
-                1 for cer in document.cers(include_definition=False)
-                if cer.kind in ("standard", "tfc")
-            )
-            yield document.process_id, count
-
-        def reduce_fn(key, values):
-            return sum(values)
-
-        return self.mapreduce.run(DOC_TABLE, map_fn, reduce_fn)
+        return self._count_pool(lambda document: [(
+            document.process_id,
+            sum(1 for cer in document.cers(include_definition=False)
+                if cer.kind in ("standard", "tfc")))])
 
 
 @dataclass

@@ -15,7 +15,6 @@ import hashlib
 import pytest
 
 from repro.cloud.hbase import CerChunkStore, SimHBase
-from repro.cloud.placement import ReplicatedChunkStore
 from repro.cloud.pool import DOC_TABLE, MANIFEST_TABLE, DocumentPool
 from repro.document.delta import chunk_document
 from repro.errors import ReplayDetected, StorageError
@@ -131,8 +130,8 @@ class TestRefcountedGc:
 
 class TestReplicatedGc:
     def test_gc_deletes_every_replica_row(self):
-        store = ReplicatedChunkStore(SimHBase(region_servers=3),
-                                     shards=3, replicas=2)
+        store = CerChunkStore(SimHBase(region_servers=3),
+                              shards=3, replicas=2)
         chunks = _chunks(b"replicated payload")
         store.put_chunks(chunks)
         (digest,) = chunks
@@ -148,8 +147,8 @@ class TestReplicatedGc:
         assert digest not in store
 
     def test_gc_spares_pinned_replicated_chunks(self):
-        store = ReplicatedChunkStore(SimHBase(region_servers=2),
-                                     shards=2, replicas=2)
+        store = CerChunkStore(SimHBase(region_servers=2),
+                              shards=2, replicas=2)
         chunks = _chunks(b"pinned", b"collectable")
         store.put_chunks(chunks)
         pinned = min(chunks)
@@ -165,8 +164,8 @@ class TestReplicatedGc:
 class TestStatsInvariants:
     @pytest.mark.parametrize("make_store", [
         lambda: CerChunkStore(SimHBase(region_servers=2)),
-        lambda: ReplicatedChunkStore(SimHBase(region_servers=2),
-                                     shards=2, replicas=2),
+        lambda: CerChunkStore(SimHBase(region_servers=2),
+                              shards=2, replicas=2),
     ], ids=["base", "replicated"])
     def test_dedup_ratio_on_empty_store(self, make_store):
         assert make_store().dedup_ratio == 1.0

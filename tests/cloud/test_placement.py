@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cloud.placement import PortalPlacement
+from repro.cloud.sharding import DEFAULT_VNODES, PortalPlacement
 from repro.cloud.system import CloudSystem
 from repro.errors import CloudError
 from repro.workloads.participants import build_world
@@ -42,11 +42,11 @@ class TestPortalPlacement:
         assert placement.skew <= 1.25
 
     def test_to_dict_shape(self):
-        placement = PortalPlacement(["portal1", "portal0"], vnodes=32)
+        placement = PortalPlacement(["portal1", "portal0"])
         placement.portal_for("x")
         snapshot = placement.to_dict()
         assert snapshot["scheme"] == "ring"
-        assert snapshot["vnodes"] == 32
+        assert snapshot["vnodes"] == DEFAULT_VNODES
         assert list(snapshot["portals"]) == ["portal0", "portal1"]
         assert sum(snapshot["portals"].values()) == 1
 

@@ -1,4 +1,5 @@
-"""Replicated chunk store: factor-R placement, read-repair, corruption."""
+"""The chunk store: one shard's plain reads, factor-R placement over
+more shards, read-repair, corruption."""
 
 from __future__ import annotations
 
@@ -6,9 +7,9 @@ import hashlib
 
 import pytest
 
-from repro.cloud.hbase import SimHBase
-from repro.cloud.placement import ReplicatedChunkStore
-from repro.errors import CloudError, StorageError
+from repro.cloud.hbase import CerChunkStore, SimHBase
+from repro.cloud.pool import DocumentPool
+from repro.errors import CloudError, DeltaMismatch, StorageError
 
 
 def chunk(text: str) -> tuple[str, bytes]:
@@ -23,25 +24,76 @@ def hbase():
 
 @pytest.fixture()
 def store(hbase):
-    return ReplicatedChunkStore(hbase, shards=3, replicas=2)
+    return CerChunkStore(hbase, shards=3, replicas=2)
+
+
+class CallCounter:
+    """Counts the data-path calls a chunk store makes on its cluster."""
+
+    def __init__(self, hbase: SimHBase) -> None:
+        self.calls: dict[str, int] = {}
+        for name in ("put", "get", "get_rows"):
+            method = getattr(hbase, name)
+            setattr(hbase, name, self._counting(name, method))
+
+    def _counting(self, name, method):
+        def call(*args, **kwargs):
+            self.calls[name] = self.calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+        return call
+
+
+class TestOneShard:
+    """One shard is the plain store: one table, batched reads, no
+    per-chunk gets, and nothing to repair a single copy from."""
+
+    def test_hbase_calls(self):
+        hbase = SimHBase(region_servers=3)
+        tables = set(hbase._tables)
+        store = CerChunkStore(hbase)
+        assert set(hbase._tables) - tables == {CerChunkStore.TABLE}
+        counter = CallCounter(hbase)
+        chunks = dict(chunk(f"one shard {i}") for i in range(12))
+        store.put_chunks(chunks)
+        store.put_chunks(chunks)
+        assert counter.calls == {"put": 12}
+        for wanted in (list(chunks)[:1], list(chunks), 3 * list(chunks)):
+            before = counter.calls.get("get_rows", 0)
+            assert store.get_chunks(wanted) == {d: chunks[d]
+                                                for d in wanted}
+            assert counter.calls["get_rows"] == before + 1
+        assert "get" not in counter.calls
+
+    def test_corrupt_copy_comes_back_as_stored(self, fig9a_trace):
+        pool = DocumentPool(SimHBase(region_servers=2), delta=True)
+        final = fig9a_trace.final_document
+        pool.register_process(final.process_id)
+        pool.store(final)
+        victim = pool.latest_manifest(final.process_id).chunks[0].digest
+        pool.hbase.put(CerChunkStore.TABLE, victim, "c", "b", b"rot")
+        counter = CallCounter(pool.hbase)
+        assert pool.chunks.get_chunks([victim]) == {victim: b"rot"}
+        assert counter.calls == {"get_rows": 1}
+        with pytest.raises(DeltaMismatch):
+            pool.latest_bytes(final.process_id)
 
 
 class TestValidation:
     def test_bad_replica_counts(self, hbase):
         with pytest.raises(StorageError):
-            ReplicatedChunkStore(hbase, shards=2, replicas=0)
+            CerChunkStore(hbase, shards=2, replicas=0)
         with pytest.raises(StorageError):
-            ReplicatedChunkStore(hbase, shards=2, replicas=True)
+            CerChunkStore(hbase, shards=2, replicas=True)
         with pytest.raises(StorageError):
-            ReplicatedChunkStore(hbase, shards=2, replicas="2")
+            CerChunkStore(hbase, shards=2, replicas="2")
 
     def test_replicas_beyond_shards(self, hbase):
         with pytest.raises(StorageError, match="replicas on"):
-            ReplicatedChunkStore(hbase, shards=2, replicas=3)
+            CerChunkStore(hbase, shards=2, replicas=3)
 
     def test_no_shards(self, hbase):
         with pytest.raises(StorageError):
-            ReplicatedChunkStore(hbase, shards=0)
+            CerChunkStore(hbase, shards=0)
 
 
 class TestWrites:
@@ -101,12 +153,26 @@ class TestReadRepair:
         store.put_chunk(digest, data)
         store.damage_replica(digest, shard_index=0, corrupt=True)
         assert store.get_chunks([digest]) == {digest: data}
-        assert store.stats["corrupt_replicas"] >= 1
+        assert store.stats["corrupt_replicas"] == 1
         assert store.stats["read_repairs"] == 1
         # Second read is clean — no further fallbacks needed.
         before = store.stats["replica_fallbacks"]
         assert store.get_chunks([digest]) == {digest: data}
         assert store.stats["replica_fallbacks"] == before
+
+    @pytest.mark.parametrize("corrupt", [False, True],
+                             ids=["lost", "corrupt"])
+    def test_each_replica_read_once(self, store, hbase, corrupt):
+        # The batched read already saw the primary; repair reads only
+        # the replica after it, yet still heals the primary.
+        digest, data = chunk("read me once")
+        store.put_chunk(digest, data)
+        store.damage_replica(digest, shard_index=0, corrupt=corrupt)
+        gets = hbase.stats["gets"]
+        assert store.get_chunks([digest]) == {digest: data}
+        assert hbase.stats["gets"] - gets == 2
+        assert store.stats["corrupt_replicas"] == int(corrupt)
+        assert store.stats["read_repairs"] == 1
 
     def test_all_replicas_lost_is_a_miss(self, store):
         digest, data = chunk("gone forever")
@@ -131,9 +197,9 @@ class TestReadRepair:
 
 class TestPlacementProperties:
     def test_replica_shards_deterministic(self, hbase):
-        a = ReplicatedChunkStore(hbase, shards=3, replicas=2)
+        a = CerChunkStore(hbase, shards=3, replicas=2)
         cluster_b = SimHBase(region_servers=3)
-        b = ReplicatedChunkStore(cluster_b, shards=3, replicas=2)
+        b = CerChunkStore(cluster_b, shards=3, replicas=2)
         for i in range(100):
             digest, _ = chunk(f"d{i}")
             assert a.replica_shards(digest) == b.replica_shards(digest)
