@@ -388,10 +388,16 @@ class SimHBase:
         return server
 
     def server_of(self, region: Region) -> RegionServer:
-        """The region server currently hosting *region*."""
+        """The region server currently hosting *region*.
+
+        Compares identities: regions are distinct objects, and comparing
+        them as dataclasses would build a tuple of every field for each
+        hosted region.
+        """
         for server in self.servers.values():
-            if region in server.regions:
-                return server
+            for hosted in server.regions:
+                if hosted is region:
+                    return server
         raise RegionError(
             f"region {region.region_id} of {region.table!r} is unassigned"
         )

@@ -21,6 +21,7 @@ that the unique process id resists replay attacks.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 
 from ..document.delta import Manifest, assemble, chunk_document, seed_chunks
@@ -38,6 +39,12 @@ __all__ = ["PoolEntry", "DocumentPool"]
 DOC_TABLE = "dra4wfms_documents"
 TODO_TABLE = "dra4wfms_todo"
 MANIFEST_TABLE = "dra4wfms_manifests"
+
+#: Stored manifest cells a pool keeps decoded.  A hop reads the latest
+#: manifest of its instance several times and the version its receiver
+#: last retrieved once; a small constant covers them, as a larger one
+#: only holds more memory.
+_DECODED_MANIFESTS = 16
 
 _FAMILY_DOC = "doc"
 _FAMILY_HIST = "hist"
@@ -94,6 +101,9 @@ class DocumentPool:
             if not hbase.has_table(table):
                 hbase.create_table(table)
         self.chunks: CerChunkStore | None = None
+        #: Manifest cell bytes → the manifest they decode to, the least
+        #: recently used first out (see :meth:`_manifest`).
+        self._decoded: OrderedDict[bytes, Manifest] = OrderedDict()
         if delta:
             self.chunks = (
                 CerChunkStore(hbase) if chunk_replicas is None
@@ -187,7 +197,7 @@ class DocumentPool:
             # in the new one.  Strictly stronger than the id-set check
             # of full mode (it also catches a CER replaced in place),
             # and O(chunk list) instead of O(parse document).
-            old_cers = set(Manifest.from_bytes(previous).cer_digests)
+            old_cers = set(self._manifest(previous).cer_digests)
             new_cers = set(manifest.cer_digests)
             missing = old_cers - new_cers
             if missing:
@@ -203,6 +213,7 @@ class DocumentPool:
         # a zero-ref chunk is ever GC-eligible.
         self.chunks.pin(manifest.chunk_digests)
         manifest_bytes = manifest.to_bytes()
+        self._keep_decoded(manifest_bytes, manifest)
         seq = sum(1 for (family, _) in row if family == _FAMILY_HIST)
         self.hbase.put(DOC_TABLE, process_id, _FAMILY_HIST, f"{seq:08d}",
                        manifest_bytes)
@@ -216,6 +227,22 @@ class DocumentPool:
 
     # -- delta-mode accessors -----------------------------------------------
 
+    def _manifest(self, cell: bytes) -> Manifest:
+        """The manifest a stored cell holds, decoded once per cell
+        content: every later read of equal bytes, and of the bytes this
+        pool stored, reuses it."""
+        manifest = self._decoded.get(cell)
+        if manifest is None:
+            manifest = Manifest.from_bytes(cell)
+        self._keep_decoded(cell, manifest)
+        return manifest
+
+    def _keep_decoded(self, cell: bytes, manifest: Manifest) -> None:
+        self._decoded[cell] = manifest
+        self._decoded.move_to_end(cell)
+        if len(self._decoded) > _DECODED_MANIFESTS:
+            self._decoded.popitem(last=False)
+
     def latest_manifest(self, process_id: str) -> Manifest:
         """Manifest of the most recent stored version (delta mode only)."""
         if not self.delta:
@@ -224,7 +251,7 @@ class DocumentPool:
         data = row.get((_FAMILY_DOC, "manifest"))
         if data is None:
             raise StorageError(f"no document stored for {process_id!r}")
-        return Manifest.from_bytes(data)
+        return self._manifest(data)
 
     def manifest_by_digest(self, doc_digest: str) -> Manifest | None:
         """Manifest of any stored version, by document digest, or None."""
@@ -234,7 +261,7 @@ class DocumentPool:
         data = row.get(("m", "b"))
         if data is None:
             return None
-        return Manifest.from_bytes(data)
+        return self._manifest(data)
 
     def _fetch_chunks(self, manifest: Manifest) -> dict[str, bytes]:
         assert self.chunks is not None
@@ -257,7 +284,7 @@ class DocumentPool:
         """Canonical bytes of one stored version cell: the document
         itself, or in delta mode its manifest's reassembled chunks."""
         if self.delta:
-            return self.assemble_bytes(Manifest.from_bytes(cell))
+            return self.assemble_bytes(self._manifest(cell))
         return cell
 
     def row_bytes(self, row: dict[tuple[str, str], bytes]) -> bytes | None:

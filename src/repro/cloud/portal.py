@@ -263,10 +263,11 @@ class PortalServer:
         the bytes are the same, so the security posture is the same.
         Only the transfer is charged at delta size.
 
-        Raises :class:`~repro.errors.DeltaFallbackRequired` when the
-        chunk store cannot supply a referenced chunk (e.g. a fresh
-        cloud after the client cached chunks elsewhere); the client
-        retries with :meth:`submit` and the full bytes.
+        Raises :class:`~repro.errors.DeltaFallbackRequired`, naming the
+        missing digests, when the chunk store cannot supply a referenced
+        chunk (a lifecycle sweep deleted it, or a fresh cloud never held
+        it); the client resubmits the delta with those chunks, or
+        :meth:`submit` with the full bytes.
         """
         self._require(session)
         if not self.pool.delta:
@@ -286,7 +287,8 @@ class PortalServer:
                 missing = sorted(set(needed) - set(fetched))
                 raise DeltaFallbackRequired(
                     f"submission references {len(missing)} chunk(s) this "
-                    f"cloud does not hold; resubmit the full document"
+                    f"cloud does not hold; resubmit with them or the full "
+                    f"document", missing=tuple(missing),
                 )
             all_chunks = {**fetched, **delta.chunks}
             try:

@@ -345,20 +345,30 @@ class CloudClient:
         return data, delta.manifest
 
     def submit_document(self, document: Dra4wfmsDocument) -> list:
-        """Submit an executed document, shipping only new chunks."""
+        """Submit an executed document, shipping only new chunks.
+
+        A chunk the cloud held may be gone since (a lifecycle sweep
+        deletes unreferenced chunks): the portal names the missing
+        chunks, and this client forgets them and resubmits the delta
+        once with them before it ships the full document.
+        """
         portal, session = self._route(document.process_id)
         if not self.system.delta_routing:
             data = document.to_bytes()
             self.bytes_sent += len(data)
             return portal.submit(session, data)
-        with self.system.clock.trace("delta.encode", "delta"):
-            delta = encode_delta(document, known=self._cloud_known)
-        try:
-            entries = portal.submit_delta(session, delta)
-        except DeltaFallbackRequired:
-            data = document.to_bytes()
-            self.bytes_sent += len(data)
-            return portal.submit(session, data)
+        for retry in (False, True):
+            with self.system.clock.trace("delta.encode", "delta"):
+                delta = encode_delta(document, known=self._cloud_known)
+            try:
+                entries = portal.submit_delta(session, delta)
+                break
+            except DeltaFallbackRequired as exc:
+                if retry or not exc.missing:
+                    data = document.to_bytes()
+                    self.bytes_sent += len(data)
+                    return portal.submit(session, data)
+                self._cloud_known.difference_update(exc.missing)
         self.bytes_sent += delta.wire_bytes
         self._cloud_known.update(delta.manifest.chunk_digests)
         self.chunks.add_all(delta.chunks)

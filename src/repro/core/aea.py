@@ -10,9 +10,12 @@ replaces the workflow engine.  For each received document the AEA:
    appended since;
 2. checks the participant is the designated executor;
 3. decrypts and presents the requested data (here: an
-   :class:`ActivityContext` handed to a responder callable); a field
-   this agent decrypted on an earlier hop comes from its decryption
-   memo, so only fields new to it cost RSA;
+   :class:`ActivityContext` handed to a responder callable): in the
+   advanced model only the requested fields, read from the newest CER
+   back, and in the basic model every field it may read, which its
+   guards and reader clauses need; a field this agent decrypted on an
+   earlier hop comes from its decryption memo, so only fields new to it
+   cost RSA;
 4. appends the participant's element-wise-encrypted execution result;
 5. embeds the cascaded digital signature;
 6. evaluates the control flow and reports where to forward the
@@ -118,9 +121,8 @@ class ActivityExecutionAgent:
         #: and verified in full, so the next copy of it costs only the
         #: CERs appended since.  A parsed document is always a full pass.
         self.kept_passes = KeptPasses()
-        #: What this participant already decrypted: step 3 re-reads every
-        #: earlier field it may read on each hop, but pays RSA only for
-        #: fields it has not decrypted before (see
+        #: What this participant already decrypted: step 3 pays RSA only
+        #: for fields it has not decrypted before (see
         #: :class:`~repro.xmlsec.xmlenc.DecryptionMemo`).
         self.decryption_memo = DecryptionMemo()
 
@@ -206,10 +208,13 @@ class ActivityExecutionAgent:
             )
 
         iteration = document.execution_count(activity_id)
-        view = VariableView.for_reader(
-            document, self.identity, self.keypair.private_key, self.backend,
-            self.decryption_memo,
-        )
+        # The basic model's guards and reader clauses read every field;
+        # the advanced model's AEA shows only what the activity requests.
+        reader = (self.identity, self.keypair.private_key, self.backend,
+                  self.decryption_memo)
+        view = (VariableView.for_reader(document, *reader) if mode == "basic"
+                else VariableView.for_requests(document, activity.requests,
+                                               *reader))
         requests: dict[str, str] = {}
         for name in activity.requests:
             if name not in view:

@@ -8,19 +8,46 @@ is reconstructed from the routed document itself.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterable, Sequence
 
 from ..crypto.backend import CryptoBackend, default_backend
 from ..crypto.pure.rsa import RsaPrivateKey
 from ..document.builder import INTERMEDIATE_BUNDLE_FIELD
+from ..document.cer import CER
 from ..document.document import Dra4wfmsDocument
 from ..document.sections import KIND_STANDARD, KIND_TFC
 from ..errors import DocumentFormatError, XmlEncryptionError
 from ..model.definition import WorkflowDefinition
-from ..xmlsec.xmlenc import DecryptionMemo
+from ..xmlsec.xmlenc import DecryptionMemo, EncryptedValue
 
 __all__ = ["VariableView", "ExecutionStatus", "execution_status"]
 
 Value = bool | int | float | str
+
+
+def _value_fields(cer: CER) -> list[EncryptedValue]:
+    """The fields of *cer* that hold workflow variables: those of
+    standard and TFC CERs, minus the TFC-addressed result bundle."""
+    if cer.kind not in (KIND_STANDARD, KIND_TFC):
+        return []
+    return [enc for enc in cer.encrypted_fields()
+            if enc.name != INTERMEDIATE_BUNDLE_FIELD]
+
+
+def _read(enc: EncryptedValue, identity: str, private_key: RsaPrivateKey,
+          backend: CryptoBackend, memo: DecryptionMemo | None) -> str | None:
+    """*enc*'s value as *identity*, or ``None`` when it does not decrypt.
+
+    A reader listed but unable to decrypt means the document is corrupt;
+    verification reports that, and a view skips the field.
+    """
+    try:
+        plaintext = (enc.decrypt(identity, private_key, backend)
+                     if memo is None else
+                     memo.decrypt(enc, identity, private_key, backend))
+    except XmlEncryptionError:
+        return None
+    return plaintext.decode("utf-8")
 
 
 class VariableView:
@@ -28,8 +55,10 @@ class VariableView:
 
     Scans the document's CERs in order and decrypts every field whose
     recipient list includes the identity; for looped activities the
-    latest iteration wins.  This is what an AEA shows the participant
-    ("the forms" of §1) and what guard evaluation runs on.
+    latest iteration wins.  This is what guard evaluation runs on in the
+    basic model and in the TFC; an AEA of the advanced model shows the
+    participant ("the forms" of §1) only the requested variables
+    (:meth:`for_requests`).
     """
 
     def __init__(self, raw: dict[str, str]) -> None:
@@ -49,28 +78,52 @@ class VariableView:
         inputs is not decrypted again, so a hop pays RSA only for the
         fields added since.  The view is the same with or without it.
         """
+        return cls({}).extended(document.history().cers, identity,
+                                private_key, backend, memo)
+
+    @classmethod
+    def for_requests(cls, document: Dra4wfmsDocument, names: Iterable[str],
+                     identity: str, private_key: RsaPrivateKey,
+                     backend: CryptoBackend | None = None,
+                     memo: DecryptionMemo | None = None) -> "VariableView":
+        """:meth:`for_reader` restricted to *names*, decrypting only
+        their fields.
+
+        Reads the history from the newest CER back and stops once every
+        name is found: a name's value is its newest field that lists
+        *identity* and decrypts, which is the one :meth:`for_reader`
+        lets win.  A name no such field holds is not in the view.
+        """
         backend = backend or default_backend()
+        wanted = set(names)
         raw: dict[str, str] = {}
-        for cer in document.history().cers:
-            if cer.kind not in (KIND_STANDARD, KIND_TFC):
-                continue
-            for enc in cer.encrypted_fields():
-                if enc.name == INTERMEDIATE_BUNDLE_FIELD:
-                    continue
-                if identity not in enc.recipients:
-                    continue
-                try:
-                    plaintext = (
-                        enc.decrypt(identity, private_key, backend)
-                        if memo is None else
-                        memo.decrypt(enc, identity, private_key, backend))
-                except XmlEncryptionError:
-                    # A reader listed but unable to decrypt means the
-                    # document is corrupt; surface during verification,
-                    # not here.
-                    continue
-                raw[enc.name] = plaintext.decode("utf-8")
+        for cer in reversed(document.history().cers):
+            if not wanted:
+                break
+            for enc in reversed(_value_fields(cer)):
+                if enc.name in wanted and identity in enc.recipients:
+                    value = _read(enc, identity, private_key, backend, memo)
+                    if value is not None:
+                        raw[enc.name] = value
+                        wanted.discard(enc.name)
         return cls(raw)
+
+    def extended(self, cers: Sequence[CER], identity: str,
+                 private_key: RsaPrivateKey,
+                 backend: CryptoBackend | None = None,
+                 memo: DecryptionMemo | None = None) -> "VariableView":
+        """This view read on through *cers*, as :meth:`for_reader`
+        reads them.  Given the view of a history's first CERs and the
+        rest of its CERs, it returns the view of the whole history."""
+        backend = backend or default_backend()
+        raw = dict(self._raw)
+        for cer in cers:
+            for enc in _value_fields(cer):
+                if identity in enc.recipients:
+                    value = _read(enc, identity, private_key, backend, memo)
+                    if value is not None:
+                        raw[enc.name] = value
+        return type(self)(raw)
 
     @property
     def raw(self) -> dict[str, str]:

@@ -9,8 +9,11 @@ authoritative process state; it only
 * **applies the security policy** the participant could not: it decrypts
   the TFC-addressed result bundle, re-encrypts each field for the reader
   set the policy prescribes (resolving conditional clauses with guard
-  variables the participant was not allowed to see — Fig. 4; the guard
-  variables it decrypted on earlier hops come from its decryption memo);
+  variables the participant was not allowed to see — Fig. 4).  Its view
+  of the variables is the one it kept of the instance's last receipt,
+  extended by the CERs appended since; a field it encrypted itself comes
+  back from its decryption memo, so a hop costs RSA for the new result
+  bundle and fields new to it only;
 * **forwards** the document according to the control flow; and
 * keeps a record of every processed activity and the latest forwarded
   copy of each instance, so the status of workflow executions can be
@@ -24,7 +27,10 @@ detectable by the same verification every AEA already runs.
 
 from __future__ import annotations
 
+import operator
+import threading
 import time
+from collections import OrderedDict
 from contextlib import nullcontext
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, ContextManager
@@ -41,6 +47,7 @@ from ..document.builder import (
     make_tfc_cer,
     parse_result_bundle,
 )
+from ..document.cer import CER
 from ..document.document import Dra4wfmsDocument
 from ..document.resume import KeptPasses
 from ..document.vcache import VerificationCache
@@ -120,11 +127,19 @@ class TfcServer:
         #: enterprise (Fig. 6 shows a TFC per hop); list the federation
         #: here.  Always includes this server itself.
         self.trusted_tfcs = set(trusted_tfcs or ()) | {keypair.identity}
-        #: What this server already decrypted.  Policy re-encryption
-        #: reads every field of the document on each hop; only the new
-        #: result bundle and fields not decrypted before cost RSA (see
+        #: What this server already decrypted, and the plaintexts of the
+        #: fields it encrypted itself: a field either way costs no RSA
+        #: when it comes back (see
         #: :class:`~repro.xmlsec.xmlenc.DecryptionMemo`).
         self.decryption_memo = DecryptionMemo()
+        #: process id → the CERs of the last receipt's history and this
+        #: server's view of them, for as many live instances as
+        #: :attr:`kept_passes` holds, the least recently used first out.
+        #: A resumed receipt's history starts with those same CER
+        #: objects, so its view reads only the CERs appended since.
+        self._views: OrderedDict[str, tuple[tuple[CER, ...],
+                                            VariableView]] = OrderedDict()
+        self._views_lock = threading.Lock()
         #: Monitoring records, in processing order.
         self.records: list[TfcRecord] = []
         #: process id → the latest forwarded copy (workflow monitoring).
@@ -193,10 +208,7 @@ class TfcServer:
         # γ phase: re-encrypt per policy + timestamp + sign ------------------
         sign_start = time.perf_counter()
         with self._trace("tfc.sign", "crypto"):
-            view = VariableView.for_reader(
-                document, self.identity, self.keypair.private_key,
-                self.backend, self.decryption_memo,
-            ).merged_with(values)
+            view = self._view(document).merged_with(values)
             typed = view.typed(definition)
             activity_id, iteration = cer_it.activity_id, cer_it.iteration
 
@@ -222,10 +234,16 @@ class TfcServer:
             )
             new_document.append_cer(tfc_cer)
             sign_seconds = time.perf_counter() - sign_start
+            for enc in tfc_cer.encrypted_fields():
+                self.decryption_memo.record(
+                    enc, self.identity, self.keypair.private_key,
+                    values[enc.name].encode("utf-8"))
 
         routing = route_after(definition, activity_id, typed)
         if routing.terminal:
             self.kept_passes.forget(document.process_id)
+            with self._views_lock:
+                self._views.pop(document.process_id, None)
 
         self.records.append(TfcRecord(
             process_id=document.process_id,
@@ -246,6 +264,31 @@ class TfcServer:
             sign_seconds=sign_seconds,
             definition=definition,
         )
+
+    def _view(self, document: Dra4wfmsDocument) -> VariableView:
+        """:meth:`VariableView.for_reader` of *document* as this server.
+
+        When *document*'s history starts with the CERs of the view kept
+        for its instance (a resumed receipt), that view is extended by
+        the CERs after them; otherwise (a cold pass, an evicted kept
+        pass, a merged document) the view is read from the first CER.
+        """
+        process_id = document.process_id
+        cers = document.history().cers
+        with self._views_lock:
+            covered, view = self._views.pop(process_id,
+                                            ((), VariableView({})))
+        if len(covered) > len(cers) or not all(map(operator.is_, covered,
+                                                   cers)):
+            covered, view = (), VariableView({})
+        view = view.extended(cers[len(covered):], self.identity,
+                             self.keypair.private_key, self.backend,
+                             self.decryption_memo)
+        with self._views_lock:
+            self._views[process_id] = (tuple(cers), view)
+            while len(self._views) > KeptPasses.LIMIT:
+                self._views.popitem(last=False)
+        return view
 
     # -- monitoring ------------------------------------------------------------
 

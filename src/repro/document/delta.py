@@ -29,6 +29,7 @@ manifest.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -95,7 +96,12 @@ class Manifest:
         return [c.digest for c in self.chunks if c.is_cer]
 
     def to_bytes(self) -> bytes:
-        """Deterministic JSON serialization (sorted keys, no spaces)."""
+        """Deterministic JSON serialization (sorted keys, no spaces),
+        encoded once per manifest."""
+        return self._encoded
+
+    @functools.cached_property
+    def _encoded(self) -> bytes:
         payload = {
             "format": MANIFEST_FORMAT,
             "process_id": self.process_id,
@@ -309,7 +315,8 @@ class DeltaDocument:
 
     The manifest describes the complete document; ``chunks`` carries
     only the payloads the receiver is not known to hold.  ``wire_bytes``
-    is the transfer size the network layer charges for.
+    is the transfer size the network layer charges for; it reuses the
+    manifest's one encoding.
     """
 
     manifest: Manifest

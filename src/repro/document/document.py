@@ -72,18 +72,25 @@ def appended_bytes(stored: bytes, data: bytes) -> bytes | None:
     return data[len(stored) - len(_CLOSING):len(data) - len(_CLOSING)]
 
 
+#: Bytes :func:`process_id_of` feeds its parser at a time: the document
+#: start tag and the header fit in about two feeds.
+_HEADER_FEED = 256
+
+
 def process_id_of(data: bytes) -> str:
     """``Dra4wfmsDocument.from_bytes(data).process_id``, parsing only as
     far as the header.
 
     Raises what the full parse raises for the bytes read; a fault after
-    the header goes unnoticed here.
+    the header goes unnoticed here.  The parser is fed
+    :data:`_HEADER_FEED` bytes at a time, so it stops soon after the
+    header instead of parsing on into the definition.
     """
     parser = ET.XMLPullParser(events=("start", "end"))
     depth = 0
     try:
-        for offset in range(0, len(data), 1024):
-            parser.feed(data[offset:offset + 1024])
+        for offset in range(0, len(data), _HEADER_FEED):
+            parser.feed(data[offset:offset + _HEADER_FEED])
             for event, element in parser.read_events():
                 if event == "end":
                     depth -= 1

@@ -161,7 +161,15 @@ class PortalError(CloudError):
 
 class DeltaFallbackRequired(PortalError):
     """A delta request cannot be served (unknown manifest or missing
-    chunks); the client must fall back to a full-document transfer."""
+    chunks); the client must fall back to a full-document transfer.
+
+    *missing* names the digests of the chunks a submission referenced
+    that the cloud does not hold, so the client can ship them instead.
+    """
+
+    def __init__(self, message: str, missing: tuple[str, ...] = ()) -> None:
+        super().__init__(message)
+        self.missing = missing
 
 
 class FleetError(CloudError):

@@ -27,7 +27,8 @@ The construction is hybrid:
 
 A routed document carries every earlier CER on every hop, so a reader
 who decrypts all it may read meets the same ciphertexts again and again.
-:class:`DecryptionMemo` remembers what one reader already decrypted.
+:class:`DecryptionMemo` remembers what one reader already decrypted, or
+encrypted itself.
 """
 
 from __future__ import annotations
@@ -182,13 +183,16 @@ class EncryptedValue:
 
 
 class DecryptionMemo:
-    """Plaintexts a reader already decrypted, keyed by what produced them.
+    """Plaintexts a reader already decrypted or produced, keyed by the
+    inputs of their decrypt.
 
     A hit needs the same :meth:`EncryptedValue.memo_key`: the digest of
-    every input of one decrypt, so it stands for a decrypt of exactly
-    those inputs that succeeded.  Keying by the digest keeps an entry
-    small.  Only successes are stored: a failing decrypt raises as
-    without a memo, and is tried again next time.  Past :attr:`LIMIT`
+    every input of one decrypt, so it stands for inputs that decrypt to
+    that plaintext, whether this reader decrypted them (:meth:`decrypt`)
+    or produced them (:meth:`record`: a TFC server re-encrypting a
+    result for a reader set it belongs to).  Keying by the digest keeps
+    an entry small.  Only successes are stored: a failing decrypt raises
+    as without a memo, and is tried again next time.  Past :attr:`LIMIT`
     entries the oldest goes first.  Each access is one ``OrderedDict``
     call, so concurrent callers at worst decrypt the same value twice.
 
@@ -217,10 +221,22 @@ class DecryptionMemo:
         plaintext = self._plaintexts.get(key)
         if plaintext is None:
             plaintext = value.decrypt(identity, private_key, backend)
-            self._plaintexts[key] = plaintext
-            if len(self._plaintexts) > self.LIMIT:
-                self._plaintexts.popitem(last=False)
+            self._store(key, plaintext)
         return plaintext
+
+    def record(self, value: EncryptedValue, identity: str,
+               private_key: RsaPrivateKey, plaintext: bytes) -> None:
+        """Remember *plaintext* as what *value* decrypts to as
+        *identity*, for a value this reader just encrypted from
+        *plaintext* to a reader set that lists it."""
+        key = value.memo_key(identity, private_key)
+        if key is not None:
+            self._store(key, plaintext)
+
+    def _store(self, key: bytes, plaintext: bytes) -> None:
+        self._plaintexts[key] = plaintext
+        if len(self._plaintexts) > self.LIMIT:
+            self._plaintexts.popitem(last=False)
 
 
 def encrypt_value(element_id: str,

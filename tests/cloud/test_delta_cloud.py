@@ -14,10 +14,16 @@ import pytest
 
 from repro.cloud import CloudSystem, run_process_in_cloud
 from repro.cloud.hbase import CerChunkStore, SimHBase
-from repro.cloud.pool import DocumentPool
+from repro.cloud.pool import DOC_TABLE, DocumentPool
 from repro.document import build_initial_document, verify_document
-from repro.document.delta import chunk_document
-from repro.errors import DeltaError, PortalError, TamperDetected
+from repro.document.delta import Manifest, chunk_document
+from repro.document.document import grows_by_append
+from repro.errors import (
+    DeltaError,
+    DeltaFallbackRequired,
+    PortalError,
+    TamperDetected,
+)
 from repro.workloads.figure9 import DESIGNER, PARTICIPANTS, figure9_responders
 
 TFC = "tfc@cloud.example"
@@ -97,6 +103,36 @@ class TestDeltaPool:
         assert pool.manifest_by_digest(manifest.doc_digest) == manifest
         assert pool.manifest_by_digest("0" * 64) is None
 
+    def test_manifest_cells_decode_once(self, pool, fig9a_trace,
+                                        monkeypatch):
+        decodes = []
+        from_bytes = Manifest.from_bytes.__func__
+
+        def counted(cls, data):
+            decodes.append(data)
+            return from_bytes(cls, data)
+
+        monkeypatch.setattr(Manifest, "from_bytes", classmethod(counted))
+        final = fig9a_trace.final_document
+        pool.register_process(final.process_id)
+        pool.store(final)
+        manifest = pool.latest_manifest(final.process_id)
+        assert pool.manifest_by_digest(manifest.doc_digest) == manifest
+        assert pool.latest_bytes(final.process_id) == final.to_bytes()
+        # The pool stored these cells itself: no read decodes them.
+        assert decodes == []
+        # A pool that did not store them decodes the cell once.
+        other = DocumentPool(pool.hbase, delta=True)
+        for _ in range(3):
+            assert other.latest_manifest(final.process_id) == manifest
+        assert other.manifest_by_digest(manifest.doc_digest) == manifest
+        assert len(decodes) == 1
+        # A cell whose bytes differ is decoded afresh.
+        pool.hbase.put(DOC_TABLE, final.process_id, "doc", "manifest",
+                       manifest.to_bytes().replace(b",", b", "))
+        assert other.latest_manifest(final.process_id) == manifest
+        assert len(decodes) == 2
+
     def test_lost_chunk_raises_not_corrupts(self, pool, fig9a_trace):
         final = fig9a_trace.final_document
         pool.register_process(final.process_id)
@@ -167,8 +203,8 @@ class TestDeltaProtocol:
                                             backend, initial):
         """A client whose cloud-known set is wrong (it assumes the cloud
         holds chunks it does not) triggers the fallback path: the portal
-        demands a full submit, the client complies, the process keeps
-        moving."""
+        names the chunks it lacks, the client resubmits the delta with
+        them, the process keeps moving."""
         designer = delta_system.client(world.keypair(DESIGNER))
         pid = designer.upload_initial(initial)
         client = delta_system.client(world.keypair(PARTICIPANTS["A"]))
@@ -182,10 +218,43 @@ class TestDeltaProtocol:
 
         entries = client.submit_document(result.document)
         assert {e.activity_id for e in entries} == {"B1", "B2"}
-        assert sum(p.stats["delta_fallbacks"]
-                   for p in delta_system.portals) >= 1
-        # The fallback stored the real document: bytes round-trip.
-        assert delta_system.pool.latest(pid).cers()
+        stats = [p.stats for p in delta_system.portals]
+        assert sum(s["delta_fallbacks"] for s in stats) == 1
+        assert sum(s["submissions"] for s in stats) == 1
+        assert sum(s["delta_submissions"] for s in stats) == 1
+        # The resubmitted delta stored the real document: the TFC's
+        # finalisation of it.
+        assert grows_by_append(result.document.to_bytes(),
+                               delta_system.pool.latest_bytes(pid))
+
+    @pytest.mark.parametrize("missing, deltas", [(("0" * 64,), 2),
+                                                 ((), 1)])
+    def test_second_fallback_ships_the_full_document(
+            self, delta_system, world, backend, initial, monkeypatch,
+            missing, deltas):
+        """A delta refused again after resending the named chunks, or
+        refused without naming any, goes as the full document."""
+        designer = delta_system.client(world.keypair(DESIGNER))
+        pid = designer.upload_initial(initial)
+        client = delta_system.client(world.keypair(PARTICIPANTS["A"]))
+        data = client.retrieve_bytes(pid)
+        result = self._execute(delta_system, world, backend, client, data,
+                               "A", {"attachment": "x"})
+        attempts = []
+
+        def refuse(session, delta):
+            attempts.append(delta)
+            raise DeltaFallbackRequired("refused", missing=missing)
+
+        monkeypatch.setattr(client.portal, "submit_delta", refuse)
+        entries = client.submit_document(result.document)
+        assert {e.activity_id for e in entries} == {"B1", "B2"}
+        assert len(attempts) == deltas
+        stats = [p.stats for p in delta_system.portals]
+        assert sum(s["submissions"] for s in stats) == 1
+        assert sum(s["delta_submissions"] for s in stats) == 0
+        assert grows_by_append(result.document.to_bytes(),
+                               delta_system.pool.latest_bytes(pid))
 
 
 # -- end to end --------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import base64
 import bisect
+import copy
 import json
 
 import pytest
@@ -124,6 +125,32 @@ class TestRegions:
         loads = [s.load for s in cluster.servers.values()]
         assert max(loads) - min(loads) <= max(r.row_count
                                               for r in all_regions)
+
+    def test_server_of_finds_each_region_by_identity(self):
+        cluster = SimHBase(region_servers=3, split_threshold_rows=4)
+        cluster.create_table("t")
+        for i in range(40):
+            cluster.put("t", f"r{i:03d}", "cf", "q", b"v")
+
+        def assert_found():
+            for server in cluster.servers.values():
+                for region in server.regions:
+                    assert cluster.server_of(region) is server
+
+        assert cluster.stats["splits"] > 0
+        assert_found()
+        regions = [r for s in cluster.servers.values() for r in s.regions]
+        for server in cluster.servers.values():
+            server.regions = []
+        cluster.servers["rs1"].regions = regions
+        assert cluster.balance() > 0
+        assert_found()
+        cluster.kill_server("rs1")
+        assert_found()
+        # A region equal to a hosted one is not that region.
+        region = cluster.regions_of("t")[0]
+        with pytest.raises(RegionError, match="unassigned"):
+            cluster.server_of(copy.copy(region))
 
     def test_store_files_written_to_hdfs(self, hbase):
         for i in range(30):

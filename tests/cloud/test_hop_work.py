@@ -1,13 +1,18 @@
-"""A hop's work outside RSA stays flat as the history grows.
+"""A hop's work stays flat as the history grows.
 
 A receiver that resumes verifies only the CERs appended since its last
 receipt, and routing, the join check, the TFC's lookups and
-``append_cer`` read the history that pass built.  So on a hop where both
-receivers (the executing participant's agent and the TFC) resume, the
-signature references parsed, the elements indexed by id and the CER
-wrappers built do not depend on how long the cascade already is: they
-are counted per hop on ``chain:8:4`` and ``chain:32:4`` through a
-delta-routing cloud with a verification cache, and must be equal.
+``append_cer`` read the history that pass built.  The agent decrypts
+only its activity's requested fields, the TFC extends the view it kept
+of the instance by the appended CERs (its own fields from its
+decryption memo), and the pool decodes each stored manifest once.  So
+on a hop where both receivers (the executing participant's agent and
+the TFC) resume, the signature references parsed, the elements indexed
+by id, the CER wrappers built, the decrypts (RSA unwraps), the memo
+keys computed and the manifests decoded do not depend on how long the
+cascade already is: they are counted per hop on ``chain:8:4`` and
+``chain:32:4`` through a delta-routing cloud with a verification cache,
+and must be equal.
 """
 
 from __future__ import annotations
@@ -23,14 +28,18 @@ from repro.crypto.fast import FastBackend
 from repro.document import build_initial_document
 from repro.document import verify as verify_module
 from repro.document.cer import CER
+from repro.document.delta import Manifest
 from repro.document.vcache import VerificationCache
 from repro.fleet.workload import workload_from_spec
 from repro.workloads import build_world
 from repro.xmlsec import xmldsig
 from repro.xmlsec.xmldsig import XmlSignature
+from repro.xmlsec.xmlenc import EncryptedValue
 
 TFC = "tfc@cloud.example"
 INSTANCES = 2
+COUNTS = ("references", "indexed", "cers", "decrypt", "memo_key",
+          "manifests")
 
 
 def _rebind(monkeypatch, original, wrapper) -> None:
@@ -44,7 +53,7 @@ def _rebind(monkeypatch, original, wrapper) -> None:
 
 @pytest.fixture()
 def counted(monkeypatch):
-    """Running totals of the three counts, and the resumptions."""
+    """Running totals of the counts, and the resumptions."""
     counts: Counter = Counter()
     resumed: list[bool] = []
 
@@ -72,6 +81,23 @@ def counted(monkeypatch):
 
     monkeypatch.setattr(CER, "__init__", wrap)
 
+    for name in ("decrypt", "memo_key"):
+        method = getattr(EncryptedValue, name)
+
+        def call(self, *args, _method=method, _name=name):
+            counts[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(EncryptedValue, name, call)
+
+    from_bytes = Manifest.from_bytes.__func__
+
+    def decode(cls, data):
+        counts["manifests"] += 1
+        return from_bytes(cls, data)
+
+    monkeypatch.setattr(Manifest, "from_bytes", classmethod(decode))
+
     spy_of = verify_module._resumed
 
     def spy(*args):
@@ -85,7 +111,7 @@ def counted(monkeypatch):
 
 def hop_counts(spec: str, counted, monkeypatch) -> list[tuple]:
     """Per hop of *spec*'s instances: whether the agent and the TFC both
-    resumed, and the three counts."""
+    resumed, and the counts."""
     counts, resumed = counted
     backend = FastBackend()
     workload = workload_from_spec(spec)
@@ -104,7 +130,7 @@ def hop_counts(spec: str, counted, monkeypatch) -> list[tuple]:
         entries = execute(client, *args)
         spent = counts - before
         hops.append((resumed[receipts:] == [True, True],
-                     (spent["references"], spent["indexed"], spent["cers"])))
+                     tuple(spent[name] for name in COUNTS)))
         return entries
 
     monkeypatch.setattr(CloudClient, "execute", counted_hop)
@@ -131,5 +157,5 @@ def test_resumed_hops_cost_the_same_on_short_and_long_chains(
     assert sum(resumed for resumed, _ in short) == 4 * INSTANCES
     assert sum(resumed for resumed, _ in long) == 28 * INSTANCES
     assert len(flat) == 1, flat
-    (references, indexed, cers), = flat
-    assert indexed == 0
+    counts, = flat
+    assert dict(zip(COUNTS, counts))["indexed"] == 0

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.core.aea import ActivityExecutionAgent
+from repro.core.state import VariableView
 from repro.core.tfc import TfcServer
 from repro.document import build_initial_document
+from repro.document.document import Dra4wfmsDocument
+from repro.document.resume import KeptPasses
 from repro.document.sections import KIND_TFC
+from repro.document.verify import verify_document
 from repro.errors import RuntimeFault
 from repro.workloads.figure9 import DESIGNER, PARTICIPANTS
+
+from ..workload_documents import TFC_IDENTITY, final_document
 
 
 @pytest.fixture()
@@ -110,3 +119,54 @@ class TestMonotoneTimestamps:
         times = [record.timestamp for record in tfc.records]
         assert times == sorted(times)
         assert len(times) == 10
+
+
+def test_kept_views_under_threads():
+    """Receipts of several instances on several threads share one TFC:
+    every view equals the cold one, and at most ``KeptPasses.LIMIT``
+    views stay kept."""
+    world, data = final_document("chain:16:4")
+    document = Dra4wfmsDocument.from_bytes(data)
+    store = KeptPasses()
+    documents = []
+    for count in range(2, 33, 2):
+        version = document.clone()
+        for cer in list(version.results_section)[count:]:
+            version.results_section.remove(cer)
+        # Each pass resumes the last: the histories share CER objects.
+        documents.append(verify_document(version.to_bytes(),
+                                         world.directory, kept=store,
+                                         ).document)
+    documents += [Dra4wfmsDocument.from_bytes(data.replace(
+        document.process_id.encode(), f"{n:032x}".encode()))
+        for n in range(KeptPasses.LIMIT + 1)]
+    private_key = world.keypair(TFC_IDENTITY).private_key
+    colds = [VariableView.for_reader(Dra4wfmsDocument.from_bytes(
+        d.to_bytes()), TFC_IDENTITY, private_key, world.backend).raw
+        for d in documents]
+    tfc = TfcServer(world.keypair(TFC_IDENTITY), world.directory,
+                    backend=world.backend)
+    errors: list[Exception] = []
+
+    def receiver(offset):
+        try:
+            for index in range(len(documents)):
+                index = (index + offset) % len(documents)
+                assert tfc._view(documents[index]).raw == colds[index]
+        except Exception as exc:  # reported below, with the thread's work
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=receiver, args=(offset,))
+                   for offset in range(0, 8, 2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert len(tfc._views) <= KeptPasses.LIMIT

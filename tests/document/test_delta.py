@@ -14,6 +14,7 @@ import hashlib
 
 import pytest
 
+from repro.document import delta as delta_module
 from repro.document.delta import (
     Chunk,
     ChunkCache,
@@ -99,6 +100,18 @@ class TestManifest:
     def test_serialization_is_deterministic(self, final_doc):
         manifest, _ = chunk_document(final_doc)
         assert manifest.to_bytes() == manifest.to_bytes()
+
+    def test_encoded_once(self, final_doc, monkeypatch):
+        manifest, _ = chunk_document(final_doc)
+        encoded = manifest.to_bytes()
+        with monkeypatch.context() as patch:
+            patch.setattr(delta_module.json, "dumps", None)
+            assert manifest.to_bytes() is encoded
+            delta = DeltaDocument(manifest=manifest, chunks={"d": b"12345"})
+            assert delta.wire_bytes == len(encoded) + 5
+        # Equality and hashing see the fields only.
+        copy = Manifest.from_bytes(encoded)
+        assert copy == manifest and hash(copy) == hash(manifest)
 
     @pytest.mark.parametrize("data", [
         b"", b"not json", b"\xff\xfe", b"[]", b'{"format":"bogus/9"}',

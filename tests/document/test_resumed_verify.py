@@ -26,8 +26,8 @@ from repro.crypto import KeyPair
 from repro.crypto.fast import FastBackend
 from repro.document import build_initial_document
 from repro.document import verify as verify_module
-from repro.document.document import (Dra4wfmsDocument, appended_bytes,
-                                     process_id_of)
+from repro.document.document import (_HEADER_FEED, Dra4wfmsDocument,
+                                     appended_bytes, process_id_of)
 from repro.document.resume import KeptPasses, _appended_cers
 from repro.document.vcache import VerificationCache
 from repro.document.verify import verify_document
@@ -547,3 +547,37 @@ def test_process_id_of_reads_the_full_parse(chain):
         process_id_of(b'<DRA4WfMSDocument Version="1.0"></DRA4WfMSDocument>')
     with pytest.raises(CanonicalizationError, match="malformed XML"):
         process_id_of(b"<DRA4WfMSDocument><Header")
+
+
+def test_process_id_of_reads_a_header_over_several_feeds(chain):
+    """A header longer than one parser feed is still read whole."""
+    _, document, _ = chain
+    data = document.to_bytes()
+    name = f'ProcessName="{document.process_name}"'.encode()
+    long_name = b'ProcessName="' + b"n" * (4 * _HEADER_FEED) + b'"'
+    long = data.replace(name, long_name, 1)
+    assert long.index(b"<Header") < _HEADER_FEED
+    assert long.index(b">", long.index(b"<Header")) > 4 * _HEADER_FEED
+    assert process_id_of(long) == document.process_id
+    assert Dra4wfmsDocument.from_bytes(long).process_id == \
+        document.process_id
+
+
+def test_process_id_of_raises_for_a_malformed_byte_before_the_header(
+        chain):
+    """A malformed byte before the header's end raises what the full
+    parse raises, in the first feed or a later one."""
+    _, document, _ = chain
+    data = document.to_bytes()
+    name = f'ProcessName="{document.process_name}"'.encode()
+    long = data.replace(
+        name, b'ProcessName="' + b"n" * (4 * _HEADER_FEED) + b'"', 1)
+    early = data.index(b"<Header") + len(b"<Header")
+    late = long.index(b'ProcessName="') + 2 * _HEADER_FEED
+    assert early < _HEADER_FEED < late
+    for source, at in ((data, early), (long, late)):
+        broken = source[:at] + b"<" + source[at + 1:]
+        with pytest.raises(CanonicalizationError, match="malformed XML"):
+            process_id_of(broken)
+        with pytest.raises(CanonicalizationError, match="malformed XML"):
+            Dra4wfmsDocument.from_bytes(broken)

@@ -26,6 +26,7 @@ from repro.fleet import (
     ClosedLoop,
     Fleet,
     FleetConfig,
+    OpenLoop,
     build_fleet,
     workload_from_spec,
 )
@@ -124,3 +125,22 @@ class TestDeltaVsFull:
         full, _ = pair
         assert full.chunk_store == {}
         assert full.bytes_to_cloud > 0
+
+
+def test_chunks_deleted_by_gc_are_resent_not_the_document():
+    """A lifecycle sweep deletes chunks clients still count as held.
+    The portal names the missing chunks, and the client resubmits the
+    delta with them: no submission falls back to the full document."""
+    fleet = build_fleet(
+        workload_from_spec("chain:6:3"),
+        FleetConfig(arrivals=OpenLoop(instances=30, rate_per_second=2.0),
+                    seed=7, gc_interval=5),
+        delta_routing=True, placement="ring", chunk_replicas=2)
+    report = fleet.run()
+    portals = fleet.system.portals
+    assert report.audit_failures == 0
+    # The sweep did delete a chunk a client counted on ...
+    assert sum(p.stats["delta_fallbacks"] for p in portals) >= 1
+    # ... and every one of the 180 submissions stayed a delta.
+    assert sum(p.stats["submissions"] for p in portals) == 180
+    assert sum(p.stats["delta_submissions"] for p in portals) == 180

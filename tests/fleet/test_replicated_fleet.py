@@ -8,7 +8,9 @@ seeded backend: this one runs on ``PureBackend(seed=...)`` over a
 committed world, with ring placement, factor-2 chunk replication, low
 split thresholds and the lifecycle sweep, so the sharded chunk store's
 writes, reads, GC fan-out and region splits all reach the goldens.
-Each golden was generated once and is compared, never regenerated.
+A sweep also deletes a chunk a client still counts as held, so the
+resubmission of a refused delta reaches them too.  The tests compare
+the goldens and never regenerate them.
 """
 
 from __future__ import annotations

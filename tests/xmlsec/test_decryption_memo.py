@@ -14,10 +14,14 @@ import copy
 
 import pytest
 
+from repro.core import InMemoryRuntime, TfcServer
 from repro.core.state import VariableView
+from repro.document import build_initial_document
 from repro.document.builder import INTERMEDIATE_BUNDLE_FIELD
 from repro.document.document import Dra4wfmsDocument
 from repro.errors import XmlEncryptionError
+from repro.fleet.workload import workload_from_spec
+from repro.workloads import build_world
 from repro.xmlsec.xmlenc import (
     ALG_CTR_HMAC,
     ALG_GCM,
@@ -267,3 +271,75 @@ class TestEntries:
         memo.decrypt(fields[0], TFC_IDENTITY, keypair.private_key, counting)
         assert counting.unwraps == 1
         assert len(memo) == DecryptionMemo.LIMIT
+
+
+# -- fields the reader produced ----------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def produced(workload):
+    """A field the TFC encrypted to itself and a participant, recorded
+    in a fresh memo as the TFC server records its own fields."""
+    world, document = workload
+    _, other = shared_field(document)
+    keypair = world.keypair(TFC_IDENTITY)
+    element = encrypt_value(
+        "enc-produced", "v", b"a produced value",
+        {TFC_IDENTITY: keypair.public_key,
+         other: world.keypair(other).public_key}, world.backend)
+    memo = DecryptionMemo()
+    memo.record(EncryptedValue(copy.deepcopy(element)), TFC_IDENTITY,
+                keypair.private_key, b"a produced value")
+    return world, element, other, memo
+
+
+class TestProducedFields:
+    def test_read_back_without_an_unwrap(self, produced):
+        world, element, _, memo = produced
+        counting = CountingBackend(world.backend)
+        assert memo.decrypt(EncryptedValue(copy.deepcopy(element)),
+                            TFC_IDENTITY,
+                            world.keypair(TFC_IDENTITY).private_key,
+                            counting) == b"a produced value"
+        assert counting.unwraps == 0
+
+    @pytest.mark.parametrize("change", CHANGES, ids=lambda c: c.__name__)
+    def test_a_changed_input_misses(self, produced, change):
+        world, element, other, memo = produced
+        changed = copy.deepcopy(element)
+        identity, key_owner = change(changed, TFC_IDENTITY, other)
+        private_key = world.keypair(key_owner).private_key
+        cold = outcome(lambda: EncryptedValue(copy.deepcopy(changed)).decrypt(
+            identity, private_key, world.backend))
+        counting = CountingBackend(world.backend)
+        warm = outcome(lambda: memo.decrypt(
+            EncryptedValue(changed), identity, private_key, counting))
+        assert warm == cold
+        assert counting.unwraps == 1, "a changed input must miss"
+
+
+
+def test_a_tfc_server_records_what_it_encrypts(backend):
+    """Every field of the TFC CERs a server appended reads back from its
+    memo with no unwrap, as the cold decrypt reads it."""
+    spec = workload_from_spec("chain:4:2")
+    world = build_world([*spec.identities, TFC_IDENTITY], bits=1024,
+                        backend=backend)
+    tfc = TfcServer(world.keypair(TFC_IDENTITY), world.directory,
+                    backend=backend)
+    initial = build_initial_document(
+        spec.definition, world.keypair(spec.designer), backend=backend)
+    runtime = InMemoryRuntime(world.directory, world.keypairs, tfc=tfc,
+                              backend=backend)
+    final = runtime.run(initial, spec.definition, spec.responders,
+                        mode="advanced").final_document
+    private_key = world.keypair(TFC_IDENTITY).private_key
+    fields = [enc for cer in final.cers(include_definition=False)
+              if cer.kind == "tfc" for enc in cer.encrypted_fields()]
+    assert len(fields) == 4
+    counting = CountingBackend(backend)
+    for enc in fields:
+        assert tfc.decryption_memo.decrypt(
+            enc, TFC_IDENTITY, private_key, counting) == enc.decrypt(
+                TFC_IDENTITY, private_key, backend)
+    assert counting.unwraps == 0
