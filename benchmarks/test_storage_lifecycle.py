@@ -1,4 +1,5 @@
-"""Bounded hot storage — refcounted GC keeps the pool O(live instances).
+"""Bounded hot storage — the lifecycle sweep keeps the pool O(live
+instances).
 
 The paper's pool accretes every document version forever; §4's scaling
 story quietly assumes hot storage does not.  This bench runs a
@@ -7,9 +8,9 @@ story quietly assumes hot storage does not.  This bench runs a
 * **baseline** (``gc_interval=0``) — the historic behaviour: unique
   chunk bytes grow linearly with every completed instance;
 * **lifecycle** (``gc_interval=25``) — completed instances are
-  archived, compacted, retired, and their chunks swept, so hot bytes
-  plateau at the live working set no matter how many instances churn
-  through.
+  archived, compacted and retired, which deletes their chunks, so hot
+  bytes plateau at the live working set no matter how many instances
+  churn through.
 
 Asserted: the lifecycle peak stays within ``PLATEAU_FACTOR`` of the
 live working set (concurrency + one sweep interval of completed-but-
@@ -83,7 +84,7 @@ def test_storage_lifecycle_churn(benchmark, backend):
     peak = lifecycle["peak_hot_bytes"]
 
     rows = [
-        ["baseline (no GC)", INSTANCES,
+        ["baseline (no sweep)", INSTANCES,
          base.chunk_store["unique_bytes"], "-",
          f"{base.throughput_per_second:.2f}", f"{base_wall:.1f}"],
         [f"gc_interval={GC_INTERVAL}", INSTANCES,
@@ -119,8 +120,8 @@ def test_storage_lifecycle_churn(benchmark, backend):
             "host_wall_seconds": round(life_wall, 2),
             "instances_retired": lifecycle["instances_retired"],
             "manifests_compacted": lifecycle["manifests_compacted"],
-            "gc_chunks_deleted": lifecycle["gc_chunks_deleted"],
-            "gc_bytes_reclaimed": lifecycle["gc_bytes_reclaimed"],
+            "chunks_deleted": lifecycle["chunks_deleted"],
+            "bytes_reclaimed": lifecycle["bytes_reclaimed"],
             "sweeps": lifecycle["sweeps"],
         },
         "per_instance_bytes": round(per_instance, 1),

@@ -49,7 +49,7 @@ def test_tfc_vs_aea_per_step(benchmark, world, fig9b, backend):
 def test_tfc_service_rate(benchmark, world, fig9b, backend):
     """Finalisations per second on a fresh single-step document."""
     tfc = TfcServer(world.keypair(TFC_IDENTITY), world.directory,
-                    backend=backend, keep_copies=False)
+                    backend=backend)
     agent = ActivityExecutionAgent(world.keypair(PARTICIPANTS["A"]),
                                    world.directory, backend)
 

@@ -458,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
                           metavar="N",
                           help="storage-lifecycle sweep: every N "
                                "completions, archive+compact+retire "
-                               "finished instances and GC zero-ref "
+                               "finished instances and delete their "
                                "chunks (implies --delta; 0 disables)")
     loadtest.add_argument("--chunk-cache-bytes", type=int, default=None,
                           metavar="B",

@@ -20,9 +20,9 @@ datasets are required":
   round-robin assignment of new regions to servers;
 * get/put/scan costs charged to the shared sim clock.
 
-On top of it, :class:`CerChunkStore` keeps the delta pool's
-content-addressed CER chunks: in one table, or on *R* of several shard
-tables with digest-checked read-repair.
+On top of it, :class:`CerChunkStore` keeps the delta pool's CER
+chunks in one row per process instance: in one table, or on *R* of
+several shard tables with digest-checked read-repair.
 """
 
 from __future__ import annotations
@@ -434,16 +434,27 @@ class SimHBase:
             if self._needs_split(region):
                 self._split(region)
 
-    def get(self, table: str, row_key: str) -> dict[tuple[str, str], bytes]:
-        """Read one row (empty dict when absent)."""
+    def get(self, table: str, row_key: str,
+            columns: list[tuple[str, str]] | None = None,
+            ) -> dict[tuple[str, str], bytes]:
+        """Read one row (empty dict when absent).
+
+        *columns*, ``(family, qualifier)`` pairs, restricts the read to
+        those cells (HBase's ``Get.addColumn``): the request carries
+        their names and only their bytes come back.
+        """
         with self.clock.trace("hbase.get", "hbase"):
             region = self._locate(table, row_key)
             server = self.server_of(region)
             server.ops += 1
             self.stats["gets"] += 1
             row = region.rows.get(row_key, {})
+            request = len(row_key)
+            if columns is not None:
+                request += sum(len(f) + len(q) for f, q in columns)
+                row = {cq: row[cq] for cq in columns if cq in row}
             size = sum(len(cell.value) for cell in row.values())
-            self.clock.advance(self.network.rpc_seconds(len(row_key), size),
+            self.clock.advance(self.network.rpc_seconds(request, size),
                                component="pool")
             return {cq: cell.value for cq, cell in row.items()}
 
@@ -452,11 +463,8 @@ class SimHBase:
         """Batched multi-get (HBase's ``Table.get(List<Get>)``).
 
         One client round-trip for the whole batch: the RPC latency is
-        charged once, the payload cost covers all returned cells.  The
-        delta-routing reassembly path depends on this — fetching fifty
-        chunk rows as fifty :meth:`get` calls would pay fifty network
-        latencies and erase the bytes saved on the wire.  Absent rows
-        are simply missing from the result.
+        charged once, the payload cost covers all returned cells.
+        Absent rows are simply missing from the result.
         """
         if not row_keys:
             return {}
@@ -507,12 +515,9 @@ class SimHBase:
         self.delete_rows(table, [row_key])
 
     def delete_rows(self, table: str, row_keys: list[str]) -> None:
-        """Delete many rows, one WAL group commit per region.
-
-        The GC sweep retires hundreds of chunk rows at once; one
+        """Delete many rows, one WAL group commit per region: one
         append per region, not per row, pays one round trip to the
-        log's replicas for the whole batch.
-        """
+        log's replicas for the whole batch."""
         now = self.clock.now()
         by_region: dict[int, tuple[Region, list[str]]] = {}
         for row_key in row_keys:
@@ -530,10 +535,11 @@ class SimHBase:
                      cells: list[tuple[str, str]]) -> int:
         """Delete several cells of one row; returns how many existed.
 
-        The manifest-compaction path retires individual ``hist:<seq>``
-        cells of a document row without touching its metadata cells, so
-        whole-row deletion is not enough.  An empty row left behind is
-        removed outright.  All tombstones share one WAL group commit.
+        Compaction retires individual ``hist:<seq>`` cells of a
+        document row without touching its metadata cells, and chunk
+        cells of an instance's chunk row, so whole-row deletion is not
+        enough.  An empty row left behind is removed outright.  All
+        tombstones share one WAL group commit.
         """
         region = self._locate(table, row_key)
         row = region.rows.get(row_key)
@@ -714,39 +720,41 @@ class SimHBase:
                 for server_id, server in sorted(self.servers.items())}
 
 
+
+
 class CerChunkStore:
-    """Content-addressed chunk storage on top of :class:`SimHBase`.
+    """Each process instance's delta chunks, on top of :class:`SimHBase`.
 
-    One row per distinct chunk, keyed by the chunk's SHA-256 hex — the
-    natural dedup: a CER chunk shared by fifty hop versions (or a
-    definition chunk shared by a thousand fleet instances of the same
-    workflow) is written and stored exactly once.  Row keys are
-    uniformly distributed (they are hashes), so regions split evenly —
-    the HBase design the paper's §4.2 storage argument relies on.
+    An instance's chunks live in one row keyed by its process id, one
+    cell per chunk: family ``c``, qualifier the chunk's SHA-256 hex.
+    The row belongs to its instance.  Chunks are not shared across
+    instances, because the designer signs each instance's definition
+    and a workflow's instances share only a few constant separators.
+    HBase never splits inside a row, so region splits and shard
+    placement follow the seed-derived process id, not ciphertext
+    digests.  A read is a column-restricted get (HBase's
+    ``Get.addColumn``) of the chunks it names, charged for those cells
+    only.
 
-    **Shards.**  One shard (the default) is the table :attr:`TABLE`,
-    read in one batched multi-get; one copy has nothing to repair from,
-    and :func:`~repro.document.delta.assemble` checks every chunk.  More
-    shards hold each chunk on *replicas* of them, chosen by consistent
-    hash of its digest; reads re-hash every payload, so a corrupt
-    replica counts as missing, and **read-repair** copies the first
-    intact one back to the shards that missed.  A chunk failing its
-    SHA-256 is never served, nor repaired *from*.
+    The store keeps no index of what it holds.  The pool decides what
+    to write (the chunks its instance's latest manifest does not name
+    yet) and what to delete (the chunks that dropped manifests name and
+    no kept manifest names), both from durable manifests, so a pool
+    rebuilt over the same HBase manages them as the original would
+    (``docs/STORAGE.md``).
 
-    The store keeps an in-memory digest index (the moral equivalent of
-    HBase block-cache bloom filters) so duplicate puts are suppressed
-    without a storage round-trip; read-repair bypasses it, because
-    repair is about the durable copies, not the cache.
+    **Shards.**  One shard (the default) is the table :attr:`TABLE`.
+    More shards hold each instance's row on *replicas* of them, chosen
+    by consistent hash of its process id; reads re-hash every payload,
+    so a corrupt replica counts as missing, and **read-repair** copies
+    the first intact one back to the shards that missed.  A chunk
+    failing its SHA-256 is never served, nor repaired *from*.
 
-    **Lifecycle** (see ``docs/STORAGE.md``): chunks are reference-
-    counted by the manifests that name them — the pool :meth:`pin`\\ s a
-    manifest's digests when it stores a version and :meth:`unpin`\\ s
-    them when compaction or retirement drops that manifest.  A
-    :meth:`gc` sweep deletes zero-ref rows, every replica of them,
-    keeping hot storage O(live instances) instead of O(total history).
-    The ``stats`` dict keeps its historical four keys on one shard
-    (fleet-report goldens pin them) and adds the replica counters on
-    more; lifecycle counters live in the separate ``lifecycle`` dict.
+    :attr:`stats` counts writes (``logical_bytes`` presented,
+    ``dedup_hits`` skipped because the instance held them already) and
+    reads what the tables hold now (``unique_chunks`` and
+    ``unique_bytes``, one copy of each); more shards add the replica
+    counters.
     """
 
     TABLE = "dra4wfms_chunks"
@@ -772,144 +780,153 @@ class CerChunkStore:
         self.hbase = hbase
         self.replicas = replicas
         self.shard_ids = [f"shard{i}" for i in range(shards)]
-        #: Digest → shards; ``None`` on one shard, which holds them all.
+        #: Process id → shards; ``None`` on one shard, which holds all.
         self.ring = (HashRing(self.shard_ids, vnodes=self._RING_VNODES)
                      if shards > 1 else None)
         for shard_id in self.shard_ids:
             table = self._table(shard_id)
             if not hbase.has_table(table):
                 hbase.create_table(table)
-        self._known: set[str] = set()
-        #: digest → stored payload length (needed to keep byte counters
-        #: exact when GC deletes a row without re-reading it).
-        self._sizes: dict[str, int] = {}
-        #: digest → number of live manifest references.
-        self._refs: dict[str, int] = {}
-        self.stats = {
-            "unique_chunks": 0,
-            "unique_bytes": 0,
-            "dedup_hits": 0,
-            "logical_bytes": 0,
-        }
+        self._counts = {"dedup_hits": 0, "logical_bytes": 0}
         if self.ring is not None:
-            self.stats.update(replicas=replicas, replica_fallbacks=0,
-                              read_repairs=0, corrupt_replicas=0)
-        self.lifecycle = {
-            "pins": 0,
-            "unpins": 0,
-            "gc_runs": 0,
-            "gc_chunks_deleted": 0,
-            "gc_bytes_reclaimed": 0,
-        }
-
-    def __contains__(self, digest: str) -> bool:
-        return digest in self._known
+            self._counts.update(replicas=replicas, replica_fallbacks=0,
+                                read_repairs=0, corrupt_replicas=0)
 
     def _table(self, shard_id: str) -> str:
         if self.ring is None:
             return self.TABLE
         return f"{self.TABLE}_shard-{shard_id}"
 
-    def replica_shards(self, digest: str) -> list[str]:
-        """The *replicas* shard ids holding a digest, primary first."""
+    def replica_shards(self, process_id: str) -> list[str]:
+        """The *replicas* shard ids holding an instance's chunks,
+        primary first."""
         if self.ring is None:
             return self.shard_ids
-        return self.ring.nodes_for(digest, self.replicas)
+        return self.ring.nodes_for(process_id, self.replicas)
 
-    # -- writes ---------------------------------------------------------------
+    @property
+    def stats(self) -> dict[str, int]:
+        """The write counters, plus the chunk cells and bytes the
+        tables hold now, counting each instance's primary copy."""
+        cells = size = 0
+        for shard_id in self.shard_ids:
+            for region in self.hbase.regions_of(self._table(shard_id)):
+                for process_id, row in region.rows.items():
+                    if self.replica_shards(process_id)[0] == shard_id:
+                        cells += len(row)
+                        size += sum(len(cell.value) for cell in row.values())
+        return {**self._counts, "unique_chunks": cells,
+                "unique_bytes": size}
 
-    def put_chunk(self, digest: str, data: bytes) -> bool:
-        """Store one chunk on its replica set; True when newly written."""
-        self.stats["logical_bytes"] += len(data)
-        if digest in self._known:
-            self.stats["dedup_hits"] += 1
-            return False
-        for shard_id in self.replica_shards(digest):
-            self.hbase.put(self._table(shard_id), digest, "c", "b", data)
-        self._known.add(digest)
-        self._sizes[digest] = len(data)
-        self.stats["unique_chunks"] += 1
-        self.stats["unique_bytes"] += len(data)
-        return True
+    # -- writes and deletes ---------------------------------------------------
 
-    def put_chunks(self, chunks: dict[str, bytes]) -> int:
-        """Store many chunks; returns how many were new."""
-        return sum(self.put_chunk(d, data) for d, data in chunks.items())
+    def put_chunks(self, process_id: str, chunks: dict[str, bytes],
+                   held: set[str] | frozenset[str] = frozenset()) -> int:
+        """Write an instance's chunks on its replica set, except those
+        in *held*; returns how many were written."""
+        new = {digest: data for digest, data in chunks.items()
+               if digest not in held}
+        self._counts["logical_bytes"] += sum(map(len, chunks.values()))
+        self._counts["dedup_hits"] += len(chunks) - len(new)
+        for shard_id in self.replica_shards(process_id):
+            table = self._table(shard_id)
+            for digest, data in new.items():
+                self.hbase.put(table, process_id, "c", digest, data)
+        return len(new)
+
+    def delete_chunks(self, process_id: str,
+                      digests: list[str] | None = None) -> None:
+        """Delete an instance's chunk cells from every replica; with
+        no *digests*, its whole row."""
+        for shard_id in self.replica_shards(process_id):
+            table = self._table(shard_id)
+            if digests is None:
+                self.hbase.delete_row(table, process_id)
+            else:
+                self.hbase.delete_cells(table, process_id,
+                                        [("c", d) for d in digests])
+
+    def flush(self) -> int:
+        """Flush every shard table (the WAL reset after bulk deletes)."""
+        return sum(self.hbase.flush_table(self._table(shard_id))
+                   for shard_id in self.shard_ids)
 
     # -- reads + repair -------------------------------------------------------
 
-    def get_chunks(self, digests: list[str]) -> dict[str, bytes]:
-        """Fetch chunk payloads, one batched read per shard.
+    def get_chunks(self, process_id: str,
+                   digests: list[str]) -> dict[str, bytes]:
+        """Fetch chunk payloads of one instance: one column-restricted
+        get of its primary copy.
 
         On more than one shard, only digests whose primary copy is
-        missing *or corrupt* walk the replica chain individually.
+        missing *or corrupt* are read from the replicas after it.
         Missing digests are absent from the result (the caller decides
         whether that is a fallback condition or an error).
         """
         wanted = list(dict.fromkeys(digests))
+        if not wanted:
+            return {}
+        primary, *others = self.replica_shards(process_id)
+        found = self._read(primary, process_id, wanted)
         if self.ring is None:
-            rows = self.hbase.get_rows(self.TABLE, wanted)
-            return {digest: cells[("c", "b")]
-                    for digest, cells in rows.items() if ("c", "b") in cells}
-        by_shard: dict[str, list[str]] = {}
-        for digest in wanted:
-            by_shard.setdefault(self.replica_shards(digest)[0],
-                                []).append(digest)
+            return found
         out: dict[str, bytes] = {}
         degraded: list[str] = []
-        for shard_id in sorted(by_shard):
-            rows = self.hbase.get_rows(self._table(shard_id),
-                                       by_shard[shard_id])
-            for digest in by_shard[shard_id]:
-                data = self._intact(digest, rows.get(digest, {}))
-                if data is None:
-                    degraded.append(digest)
-                else:
-                    out[digest] = data
-        for digest in degraded:
-            data = self._read_with_repair(digest)
-            if data is not None:
+        for digest in wanted:
+            data = self._intact(digest, found.get(digest))
+            if data is None:
+                degraded.append(digest)
+            else:
                 out[digest] = data
+        if degraded:
+            out.update(self._read_with_repair(process_id, degraded,
+                                              primary, others))
         return out
 
-    def _intact(self, digest: str,
-                cells: dict[tuple[str, str], bytes]) -> bytes | None:
+    def _read(self, shard_id: str, process_id: str,
+              digests: list[str]) -> dict[str, bytes]:
+        cells = self.hbase.get(self._table(shard_id), process_id,
+                               [("c", digest) for digest in digests])
+        return {digest: data for (_, digest), data in cells.items()}
+
+    def _intact(self, digest: str, data: bytes | None) -> bytes | None:
         """A replica's payload, or None when missing or failing its digest."""
-        data = cells.get(("c", "b"))
         if data is not None and hashlib.sha256(data).hexdigest() != digest:
-            self.stats["corrupt_replicas"] += 1
+            self._counts["corrupt_replicas"] += 1
             return None
         return data
 
-    def _read_with_repair(self, digest: str) -> bytes | None:
-        """Walk the replicas after the primary, whose batched read came
-        back missing or corrupt; heal every shard that missed."""
+    def _read_with_repair(self, process_id: str, degraded: list[str],
+                          primary: str,
+                          others: list[str]) -> dict[str, bytes]:
+        """Read the *degraded* digests once from each replica after the
+        primary, whose read came back missing or corrupt; heal every
+        shard that missed."""
         with self.hbase.clock.trace("chunks.read_repair", "hbase"):
-            primary, *others = self.replica_shards(digest)
-            healthy: bytes | None = None
-            missed = [primary]
+            healthy: dict[str, bytes] = {}
+            missed = {digest: [primary] for digest in degraded}
             for shard_id in others:
-                data = self._intact(
-                    digest, self.hbase.get(self._table(shard_id), digest))
-                if data is None:
-                    missed.append(shard_id)
-                elif healthy is None:
-                    healthy = data
-                    self.stats["replica_fallbacks"] += 1
-            if healthy is None:
-                return None
-            for shard_id in missed:
-                self.hbase.put(self._table(shard_id), digest, "c", "b",
-                               healthy)
-                self.stats["read_repairs"] += 1
+                found = self._read(shard_id, process_id, degraded)
+                for digest in degraded:
+                    data = self._intact(digest, found.get(digest))
+                    if data is None:
+                        missed[digest].append(shard_id)
+                    elif digest not in healthy:
+                        healthy[digest] = data
+                        self._counts["replica_fallbacks"] += 1
+            for digest, data in healthy.items():
+                for shard_id in missed[digest]:
+                    self.hbase.put(self._table(shard_id), process_id, "c",
+                                   digest, data)
+                    self._counts["read_repairs"] += 1
             return healthy
 
-    def damage_replica(self, digest: str, shard_index: int = 0,
-                       corrupt: bool = False) -> str:
-        """Lose (or bit-flip) one replica of a chunk — failure-injection
-        hook for tests and the adversarial harness.  Returns the shard
-        id that was damaged."""
-        shards = self.replica_shards(digest)
+    def damage_replica(self, process_id: str, digest: str,
+                       shard_index: int = 0, corrupt: bool = False) -> str:
+        """Lose (or bit-flip) one replica of an instance's chunk —
+        failure-injection hook for tests and the adversarial harness.
+        Returns the shard id that was damaged."""
+        shards = self.replica_shards(process_id)
         try:
             shard_id = shards[shard_index]
         except IndexError:
@@ -918,83 +935,16 @@ class CerChunkStore:
             ) from None
         table = self._table(shard_id)
         if corrupt:
-            self.hbase.put(table, digest, "c", "b", b"\x00corrupt\x00")
+            self.hbase.put(table, process_id, "c", digest,
+                           b"\x00corrupt\x00")
         else:
-            self.hbase.delete_row(table, digest)
+            self.hbase.delete_cells(table, process_id, [("c", digest)])
         return shard_id
-
-    # -- lifecycle: refcounts + garbage collection ---------------------------
-
-    def pin(self, digests) -> None:
-        """Take one reference per digest (a stored manifest names them)."""
-        for digest in digests:
-            self._refs[digest] = self._refs.get(digest, 0) + 1
-            self.lifecycle["pins"] += 1
-
-    def unpin(self, digests) -> None:
-        """Release one reference per digest (that manifest is gone).
-
-        Dropping a reference that was never taken is a bookkeeping bug
-        that would let :meth:`gc` delete a chunk some live manifest
-        still names — refuse loudly instead of corrupting the store.
-        """
-        for digest in digests:
-            refs = self._refs.get(digest, 0)
-            if refs <= 0:
-                raise StorageError(
-                    f"unpin of chunk {digest[:12]}… without a matching "
-                    f"pin (refcount underflow)"
-                )
-            if refs == 1:
-                del self._refs[digest]
-            else:
-                self._refs[digest] = refs - 1
-            self.lifecycle["unpins"] += 1
-
-    def refcount(self, digest: str) -> int:
-        """Live manifest references to one chunk."""
-        return self._refs.get(digest, 0)
-
-    def flush(self) -> int:
-        """Flush every shard table — the post-GC WAL reset."""
-        return sum(self.hbase.flush_table(self._table(shard_id))
-                   for shard_id in self.shard_ids)
-
-    def gc(self) -> tuple[int, int]:
-        """Delete every stored chunk with zero references.
-
-        Returns ``(chunks_deleted, bytes_reclaimed)``.  A pinned chunk
-        is never touched, so a digest named by any live manifest cannot
-        be collected; every replica row of a collected chunk goes, so no
-        shard serves a digest the hot tier dropped.  Byte counters
-        shrink so ``unique_bytes`` tracks the *hot* store, and a later
-        re-put of the same digest is a fresh write, not a dedup hit.
-        """
-        with self.hbase.clock.trace("chunks.gc", "pool"):
-            dead = sorted(d for d in self._known
-                          if self._refs.get(d, 0) == 0)
-            by_table: dict[str, list[str]] = {}
-            for digest in dead:
-                for shard_id in self.replica_shards(digest):
-                    by_table.setdefault(self._table(shard_id),
-                                        []).append(digest)
-            for table, keys in by_table.items():
-                self.hbase.delete_rows(table, keys)
-            reclaimed = 0
-            for digest in dead:
-                self._known.discard(digest)
-                size = self._sizes.pop(digest, 0)
-                reclaimed += size
-                self.stats["unique_chunks"] -= 1
-                self.stats["unique_bytes"] -= size
-            self.lifecycle["gc_runs"] += 1
-            self.lifecycle["gc_chunks_deleted"] += len(dead)
-            self.lifecycle["gc_bytes_reclaimed"] += reclaimed
-            return len(dead), reclaimed
 
     @property
     def dedup_ratio(self) -> float:
         """Logical bytes stored per physical *unique* byte (≥ 1.0)."""
-        if self.stats["unique_bytes"] == 0:
+        stats = self.stats
+        if stats["unique_bytes"] == 0:
             return 1.0
-        return self.stats["logical_bytes"] / self.stats["unique_bytes"]
+        return stats["logical_bytes"] / stats["unique_bytes"]

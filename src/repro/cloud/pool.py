@@ -11,8 +11,9 @@ stored as a cell in a row of an HBase table".  The pool keeps
   TO-DO list in a WfMS").
 
 With delta routing a version cell holds a manifest of chunks kept in
-a :class:`~repro.cloud.hbase.CerChunkStore` (``doc:manifest``);
-:meth:`DocumentPool.row_bytes` reads either kind of row.
+the instance's row of a :class:`~repro.cloud.hbase.CerChunkStore`
+(``doc:manifest``); :meth:`DocumentPool.row_bytes` reads either kind
+of row.
 
 Replay protection lives here too: :meth:`register_process` refuses a
 process id that was already registered, implementing the §2.1 claim
@@ -38,7 +39,6 @@ __all__ = ["PoolEntry", "DocumentPool"]
 
 DOC_TABLE = "dra4wfms_documents"
 TODO_TABLE = "dra4wfms_todo"
-MANIFEST_TABLE = "dra4wfms_manifests"
 
 #: Stored manifest cells a pool keeps decoded.  A hop reads the latest
 #: manifest of its instance several times and the version its receiver
@@ -83,14 +83,18 @@ class DocumentPool:
 
     With ``delta=True`` the pool stores each document version as a
     small **manifest** (ordered chunk digests, see
-    :mod:`repro.document.delta`) plus content-addressed chunks in a
-    shared :class:`~repro.cloud.hbase.CerChunkStore` — so the k-th
-    version of an instance writes one new CER chunk and one manifest
-    instead of the whole document, and chunks dedup across versions
-    *and* across instances; ``chunk_replicas`` keeps that many copies
-    of each chunk over one shard per region server.  Reads reassemble
-    and digest-check the full canonical bytes, so everything downstream
-    of the pool sees exactly the bytes a full-storage pool would serve.
+    :mod:`repro.document.delta`) plus the chunks its instance's latest
+    manifest does not name yet, in the instance's row of a
+    :class:`~repro.cloud.hbase.CerChunkStore` — so the k-th version of
+    an instance writes its new CER chunk and one manifest instead of
+    the whole document; ``chunk_replicas`` keeps that many copies of
+    each instance's chunks over one shard per region server.  Reads
+    reassemble and digest-check the full canonical bytes, so everything
+    downstream of the pool sees exactly the bytes a full-storage pool
+    would serve.  The pool keeps no record of its chunks outside HBase:
+    what to write and what to delete follows from the durable
+    manifests, so a pool rebuilt over the same HBase carries on as the
+    original would.
     """
 
     def __init__(self, hbase: SimHBase, delta: bool = False,
@@ -109,8 +113,6 @@ class DocumentPool:
                 CerChunkStore(hbase) if chunk_replicas is None
                 else CerChunkStore(hbase, shards=len(hbase.servers),
                                    replicas=chunk_replicas))
-            if not hbase.has_table(MANIFEST_TABLE):
-                hbase.create_table(MANIFEST_TABLE)
 
     # -- replay guard ------------------------------------------------------------
 
@@ -133,7 +135,9 @@ class DocumentPool:
     # -- documents ----------------------------------------------------------------
 
     def store(self, document: Dra4wfmsDocument) -> int:
-        """Store a new version of a process's document; returns the seq.
+        """Store a new version of a process's document; returns the seq,
+        one past the highest ``hist`` qualifier (compaction keeps the
+        last one).
 
         The rollback guard refuses a version that lost a stored CER.  In
         full mode a version that only appends to the stored one
@@ -146,15 +150,28 @@ class DocumentPool:
                 f"process {process_id!r} was never registered; upload the "
                 f"initial document through a portal first"
             )
-        if self.delta:
-            return self._store_delta(document)
-        data = document.to_bytes()
         row = self.hbase.get(DOC_TABLE, process_id)
         if (_FAMILY_META, "retired") in row:
             raise StorageError(
                 f"process {process_id!r} was retired from hot storage; "
                 f"its evidence lives in the archival bundle"
             )
+        if self.delta:
+            latest, cell = "manifest", self._delta_cell(document, row)
+        else:
+            latest, cell = "latest", self._full_cell(document, row)
+        seq = max((int(qualifier) + 1 for family, qualifier in row
+                   if family == _FAMILY_HIST), default=0)
+        self.hbase.put(DOC_TABLE, process_id, _FAMILY_HIST, f"{seq:08d}",
+                       cell)
+        self.hbase.put(DOC_TABLE, process_id, _FAMILY_DOC, latest, cell)
+        return seq
+
+    @staticmethod
+    def _full_cell(document: Dra4wfmsDocument,
+                   row: dict[tuple[str, str], bytes]) -> bytes:
+        """Full mode: the document's bytes, past the rollback guard."""
+        data = document.to_bytes()
         previous = row.get((_FAMILY_DOC, "latest"))
         if previous is not None and not grows_by_append(previous, data):
             # Monotonicity guard: a process document only ever grows.
@@ -170,60 +187,40 @@ class DocumentPool:
             missing = old_ids - new_ids
             if missing:
                 raise TamperDetected(
-                    f"submitted document for {process_id!r} is missing "
-                    f"previously stored CERs {sorted(missing)} "
+                    f"submitted document for {document.process_id!r} is "
+                    f"missing previously stored CERs {sorted(missing)} "
                     f"(rollback attack)"
                 )
-        seq = sum(1 for (family, _) in row if family == _FAMILY_HIST)
-        self.hbase.put(DOC_TABLE, process_id, _FAMILY_HIST, f"{seq:08d}",
-                       data)
-        self.hbase.put(DOC_TABLE, process_id, _FAMILY_DOC, "latest", data)
-        return seq
+        return data
 
-    def _store_delta(self, document: Dra4wfmsDocument) -> int:
-        """Delta-mode store: new chunks + a manifest, not the document."""
-        process_id = document.process_id
+    def _delta_cell(self, document: Dra4wfmsDocument,
+                    row: dict[tuple[str, str], bytes]) -> bytes:
+        """Delta mode: write the chunks the instance's latest manifest
+        does not name yet, past the rollback guard; return the manifest
+        bytes."""
         manifest, payloads = chunk_document(document)
-        row = self.hbase.get(DOC_TABLE, process_id)
-        if (_FAMILY_META, "retired") in row:
-            raise StorageError(
-                f"process {process_id!r} was retired from hot storage; "
-                f"its evidence lives in the archival bundle"
-            )
         previous = row.get((_FAMILY_DOC, "manifest"))
+        held: set[str] = set()
         if previous is not None:
+            stored = self._manifest(previous)
             # Monotonicity guard, chunk-level: every CER chunk of the
             # previously stored version must reappear *byte-identical*
             # in the new one.  Strictly stronger than the id-set check
             # of full mode (it also catches a CER replaced in place),
             # and O(chunk list) instead of O(parse document).
-            old_cers = set(self._manifest(previous).cer_digests)
-            new_cers = set(manifest.cer_digests)
-            missing = old_cers - new_cers
+            missing = set(stored.cer_digests) - set(manifest.cer_digests)
             if missing:
                 raise TamperDetected(
-                    f"submitted document for {process_id!r} drops "
-                    f"{len(missing)} previously stored CER chunk(s) "
+                    f"submitted document for {document.process_id!r} "
+                    f"drops {len(missing)} previously stored CER chunk(s) "
                     f"(rollback attack)"
                 )
+            held = set(stored.chunk_digests)
         assert self.chunks is not None
-        self.chunks.put_chunks(payloads)
-        # Every stored manifest version takes one reference on each
-        # chunk it names; compaction/retirement releases them, and only
-        # a zero-ref chunk is ever GC-eligible.
-        self.chunks.pin(manifest.chunk_digests)
+        self.chunks.put_chunks(document.process_id, payloads, held)
         manifest_bytes = manifest.to_bytes()
         self._keep_decoded(manifest_bytes, manifest)
-        seq = sum(1 for (family, _) in row if family == _FAMILY_HIST)
-        self.hbase.put(DOC_TABLE, process_id, _FAMILY_HIST, f"{seq:08d}",
-                       manifest_bytes)
-        self.hbase.put(DOC_TABLE, process_id, _FAMILY_DOC, "manifest",
-                       manifest_bytes)
-        # Manifest-by-digest lookup: a delta retrieve names the version
-        # the client already holds by its document digest.
-        self.hbase.put(MANIFEST_TABLE, manifest.doc_digest, "m", "b",
-                       manifest_bytes)
-        return seq
+        return manifest_bytes
 
     # -- delta-mode accessors -----------------------------------------------
 
@@ -245,27 +242,41 @@ class DocumentPool:
 
     def latest_manifest(self, process_id: str) -> Manifest:
         """Manifest of the most recent stored version (delta mode only)."""
+        return self.delta_manifests(process_id)[0]
+
+    def delta_manifests(self, process_id: str,
+                        held_digest: str | None = None,
+                        ) -> tuple[Manifest, Manifest | None]:
+        """The latest manifest of an instance, and the manifest of its
+        stored version whose document digest is *held_digest* (None when
+        it stores no such version), from one read of its row.
+
+        History cells are searched newest first, each by its bytes, so
+        only the cell found is decoded (see :meth:`_manifest`).
+        """
         if not self.delta:
             raise StorageError("pool is not in delta mode")
         row = self.hbase.get(DOC_TABLE, process_id)
         data = row.get((_FAMILY_DOC, "manifest"))
         if data is None:
             raise StorageError(f"no document stored for {process_id!r}")
-        return self._manifest(data)
-
-    def manifest_by_digest(self, doc_digest: str) -> Manifest | None:
-        """Manifest of any stored version, by document digest, or None."""
-        if not self.delta:
-            raise StorageError("pool is not in delta mode")
-        row = self.hbase.get(MANIFEST_TABLE, doc_digest)
-        data = row.get(("m", "b"))
-        if data is None:
-            return None
-        return self._manifest(data)
+        latest = self._manifest(data)
+        if held_digest is None:
+            return latest, None
+        if held_digest == latest.doc_digest:
+            return latest, latest
+        for (family, _), cell in sorted(row.items(), reverse=True):
+            if family == _FAMILY_HIST and \
+                    Manifest.describes(cell, held_digest):
+                held = self._manifest(cell)
+                return latest, (held if held.doc_digest == held_digest
+                                else None)
+        return latest, None
 
     def _fetch_chunks(self, manifest: Manifest) -> dict[str, bytes]:
         assert self.chunks is not None
-        fetched = self.chunks.get_chunks(manifest.chunk_digests)
+        fetched = self.chunks.get_chunks(manifest.process_id,
+                                         manifest.chunk_digests)
         missing = [d for d in manifest.chunk_digests if d not in fetched]
         if missing:
             raise DeltaError(
@@ -274,17 +285,14 @@ class DocumentPool:
             )
         return fetched
 
-    def assemble_bytes(self, manifest: Manifest) -> bytes:
-        """Reassembled, digest-checked canonical bytes of *manifest*."""
-        return assemble(manifest, self._fetch_chunks(manifest))
-
     # -- stored versions ---------------------------------------------------
 
     def _version_bytes(self, cell: bytes) -> bytes:
         """Canonical bytes of one stored version cell: the document
         itself, or in delta mode its manifest's reassembled chunks."""
         if self.delta:
-            return self.assemble_bytes(self._manifest(cell))
+            manifest = self._manifest(cell)
+            return assemble(manifest, self._fetch_chunks(manifest))
         return cell
 
     def row_bytes(self, row: dict[tuple[str, str], bytes]) -> bytes | None:
@@ -414,26 +422,16 @@ class DocumentPool:
         row = self.hbase.get(DOC_TABLE, process_id)
         return (_FAMILY_META, "archived") in row
 
-    def _hist_manifests(
-        self, row: dict[tuple[str, str], bytes],
-    ) -> list[tuple[str, Manifest]]:
-        """An instance row's history manifests, oldest first."""
-        return [
-            (qualifier, Manifest.from_bytes(data))
-            for (family, qualifier), data in sorted(row.items())
-            if family == _FAMILY_HIST
-        ]
-
     def compact(self, process_id: str) -> int:
         """Collapse an instance's per-hop manifests into one (delta mode).
 
         Every intermediate version's manifest is dropped from the
-        history and the manifest-by-digest index, and its chunk
-        references are released — the final document's signature
-        cascade already embeds every earlier hop, so nothing
-        evidentiary is lost.  Returns how many manifests were removed.
-        The sealed final manifest stays both as ``doc:manifest`` and as
-        the single remaining history cell.
+        history, then the chunk cells that only dropped manifests name
+        (a separator an earlier version ended with) — the final
+        document's signature cascade already embeds every earlier hop,
+        so nothing evidentiary is lost.  Returns how many manifests were
+        removed.  The sealed final manifest stays both as
+        ``doc:manifest`` and as the single remaining history cell.
         """
         if not self.delta:
             raise StorageError("manifest compaction requires delta mode")
@@ -441,19 +439,21 @@ class DocumentPool:
         final_bytes = row.get((_FAMILY_DOC, "manifest"))
         if final_bytes is None:
             raise StorageError(f"no document stored for {process_id!r}")
-        final = Manifest.from_bytes(final_bytes)
         assert self.chunks is not None
-        stale = self._hist_manifests(row)[:-1]
+        history = [(qualifier, Manifest.from_bytes(data))
+                   for (family, qualifier), data in sorted(row.items())
+                   if family == _FAMILY_HIST]
+        stale, kept = history[:-1], history[-1:]
+        named = {digest for _, manifest in kept
+                 for digest in manifest.chunk_digests}
+        named.update(Manifest.from_bytes(final_bytes).chunk_digests)
+        dropped = {digest for _, manifest in stale
+                   for digest in manifest.chunk_digests}
         with self.hbase.clock.trace("pool.compact", "pool"):
-            for _, manifest in stale:
-                self.chunks.unpin(manifest.chunk_digests)
             self.hbase.delete_cells(
                 DOC_TABLE, process_id,
                 [(_FAMILY_HIST, qualifier) for qualifier, _ in stale])
-            self.hbase.delete_rows(MANIFEST_TABLE, sorted({
-                manifest.doc_digest for _, manifest in stale
-                if manifest.doc_digest != final.doc_digest
-            }))
+            self.chunks.delete_chunks(process_id, sorted(dropped - named))
             self.hbase.put(DOC_TABLE, process_id, _FAMILY_META,
                            "compacted", b"1")
         return len(stale)
@@ -461,10 +461,9 @@ class DocumentPool:
     def retire(self, process_id: str) -> None:
         """Drop an archived instance from hot storage (delta mode).
 
-        Releases every remaining chunk reference and deletes the
-        instance's manifests, so the next :meth:`CerChunkStore.gc`
-        sweep reclaims chunks no other live instance shares.  Requires
-        :meth:`archive` first — and the operator is expected to export
+        Deletes the instance's manifests, then its chunk row on every
+        replica: no manifest is kept, so no chunk of it is named.
+        Requires :meth:`archive` first — and the operator is expected to export
         an archival bundle *before* retiring, because afterwards the
         pool can no longer serve the document.  The process id stays
         registered, so replayed initial documents are still rejected,
@@ -483,17 +482,13 @@ class DocumentPool:
         if (_FAMILY_META, "retired") in row:
             return
         assert self.chunks is not None
-        history = self._hist_manifests(row)
         with self.hbase.clock.trace("pool.retire", "pool"):
-            for _, manifest in history:
-                self.chunks.unpin(manifest.chunk_digests)
             self.hbase.delete_cells(
                 DOC_TABLE, process_id,
-                [(_FAMILY_HIST, qualifier) for qualifier, _ in history]
+                [(family, qualifier) for family, qualifier in row
+                 if family == _FAMILY_HIST]
                 + [(_FAMILY_DOC, "manifest")])
-            self.hbase.delete_rows(MANIFEST_TABLE, sorted({
-                manifest.doc_digest for _, manifest in history
-            }))
+            self.chunks.delete_chunks(process_id)
             self.hbase.put(DOC_TABLE, process_id, _FAMILY_META, "retired",
                            b"1")
 
@@ -502,25 +497,16 @@ class DocumentPool:
         row = self.hbase.get(DOC_TABLE, process_id)
         return (_FAMILY_META, "retired") in row
 
-    def gc(self) -> tuple[int, int]:
-        """Sweep zero-reference chunks; ``(chunks_deleted, bytes)``."""
-        if not self.delta:
-            raise StorageError("chunk GC requires delta mode")
-        assert self.chunks is not None
-        return self.chunks.gc()
-
     def flush_hot_tables(self) -> int:
         """Flush the tables a lifecycle sweep filled with tombstones.
 
-        Retire + GC leave the document, manifest-index, and chunk
-        region WALs full of delete markers; explicitly flushing (the
-        HBase operator move after a bulk delete) resets those logs so
-        the hot path stops paying to rewrite them on every put.
-        Returns how many regions flushed.
+        Compaction and retirement leave the document and chunk region
+        WALs full of delete markers; explicitly flushing (the HBase
+        operator move after a bulk delete) resets those logs so a
+        region-server crash stops replaying them.  Returns how many
+        regions flushed.
         """
         flushed = self.hbase.flush_table(DOC_TABLE)
-        if self.delta:
-            flushed += self.hbase.flush_table(MANIFEST_TABLE)
         if self.chunks is not None:
             flushed += self.chunks.flush()
         return flushed
@@ -534,17 +520,9 @@ class DocumentPool:
         row = self.hbase.get(DOC_TABLE, process_id)
         if (_FAMILY_META, "registered") not in row:
             raise StorageError(f"unknown process {process_id!r}")
-        if self.delta and self.chunks is not None:
-            # Release the purged versions' chunk references and their
-            # by-digest index rows, or the refcounts would pin chunks
-            # of a document that no longer exists.
-            history = self._hist_manifests(row)
-            for _, manifest in history:
-                self.chunks.unpin(manifest.chunk_digests)
-            self.hbase.delete_rows(MANIFEST_TABLE, sorted({
-                manifest.doc_digest for _, manifest in history
-            }))
         self.hbase.delete_row(DOC_TABLE, process_id)
+        if self.chunks is not None:
+            self.chunks.delete_chunks(process_id)
         self.hbase.put(DOC_TABLE, process_id, _FAMILY_META, "registered",
                        b"1")
         self.hbase.put(DOC_TABLE, process_id, _FAMILY_META, "purged",

@@ -161,8 +161,10 @@ class PortalServer:
         The response carries the latest manifest plus only the chunks
         not covered by either, so a returning participant pays one WAN
         round trip for the handful of CERs appended since its last
-        visit.  An unknown or ``None`` *have_digest* degrades to "all
-        chunks" (a cold client's first contact), never to an error.
+        visit.  The held version is looked up among the instance's own
+        stored versions; an unknown or ``None`` *have_digest* degrades
+        to "all chunks" (a cold client's first contact, or a version
+        compaction dropped), never to an error.
 
         Raises :class:`~repro.errors.DeltaFallbackRequired` when the
         chunk store cannot supply a referenced chunk — the client
@@ -172,16 +174,13 @@ class PortalServer:
         if not self.pool.delta:
             raise PortalError("this cloud does not serve delta transfers")
         with self.clock.trace("portal.retrieve_delta", "portal"):
-            manifest = self.pool.latest_manifest(process_id)
+            manifest, held = self.pool.delta_manifests(process_id,
+                                                       have_digest)
             known: set[str] = set(also_have)
-            if have_digest == manifest.doc_digest:
-                known.update(manifest.chunk_digests)
-            elif have_digest is not None:
-                held = self.pool.manifest_by_digest(have_digest)
-                if held is not None:
-                    known.update(held.chunk_digests)
+            if held is not None:
+                known.update(held.chunk_digests)
             missing = [d for d in manifest.chunk_digests if d not in known]
-            chunks = self.pool.chunks.get_chunks(missing)
+            chunks = self.pool.chunks.get_chunks(process_id, missing)
             if len(chunks) != len(set(missing)):
                 self.stats["delta_fallbacks"] += 1
                 raise DeltaFallbackRequired(
@@ -257,16 +256,18 @@ class PortalServer:
         """Accept an executed document shipped as manifest + new chunks.
 
         The portal reassembles the full canonical bytes from the
-        delta's chunks plus the shared chunk store, digest-checks them
-        against the manifest, and from there runs the *identical*
-        verify → TFC → merge → store path a full submission takes —
-        the bytes are the same, so the security posture is the same.
-        Only the transfer is charged at delta size.
+        delta's chunks plus the chunks stored for the instance the
+        manifest names, digest-checks them against the manifest, and
+        from there runs the *identical* verify → TFC → merge → store
+        path a full submission takes — the bytes are the same, so the
+        security posture is the same.  A document whose header names
+        another instance is rejected.  Only the transfer is charged at
+        delta size.
 
         Raises :class:`~repro.errors.DeltaFallbackRequired`, naming the
-        missing digests, when the chunk store cannot supply a referenced
-        chunk (a lifecycle sweep deleted it, or a fresh cloud never held
-        it); the client resubmits the delta with those chunks, or
+        missing digests, when the instance's stored chunks cannot supply
+        a referenced chunk (the client assumed more than the pool holds);
+        the client resubmits the delta with those chunks, or
         :meth:`submit` with the full bytes.
         """
         self._require(session)
@@ -281,7 +282,8 @@ class PortalServer:
             manifest = delta.manifest
             needed = [d for d in manifest.chunk_digests
                       if d not in delta.chunks]
-            fetched = self.pool.chunks.get_chunks(needed)
+            fetched = self.pool.chunks.get_chunks(manifest.process_id,
+                                                  needed)
             if len(fetched) != len(set(needed)):
                 self.stats["delta_fallbacks"] += 1
                 missing = sorted(set(needed) - set(fetched))
@@ -314,17 +316,24 @@ class PortalServer:
         the same bytes.  The portal reads only the header; the TFC
         parses and verifies the bytes, resuming from the instance's
         previous submission when they extend it.  A delta submission
-        also passes its *manifest* and the (canonical) *chunks* the
-        store already held, which warm the finalized document's
-        canonical memo for the stored history, so storing it chunks only
-        new CERs.  Verification never reads the memo, and what is stored
-        is canonical whatever bytes the client shipped.
+        also passes its *manifest*, whose process id the header must
+        name, and the (canonical) *chunks* the store already held, which
+        warm the finalized document's canonical memo for the stored
+        history, so storing it chunks only new CERs.  Verification never
+        reads the memo, and what is stored is canonical whatever bytes
+        the client shipped.
         """
         try:
             process_id = process_id_of(data)
         except ReproError as exc:
             self.stats["rejected"] += 1
             raise PortalError(f"submission rejected: {exc}") from exc
+        if manifest is not None and manifest.process_id != process_id:
+            self.stats["rejected"] += 1
+            raise PortalError(
+                f"submission rejected: its manifest names process "
+                f"{manifest.process_id!r}, its document {process_id!r}"
+            )
         if not self.pool.is_registered(process_id):
             self.stats["rejected"] += 1
             raise PortalError(

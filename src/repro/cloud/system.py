@@ -253,9 +253,12 @@ class CloudClient:
         #: process id → digests of chunks we shipped in our own submits
         #: since the last retrieve (the portal must not send those back).
         self._own_chunks: dict[str, set[str]] = {}
-        #: Chunk digests the cloud side is known to hold (it sent them
-        #: to us, or accepted them from us) — what submits diff against.
-        self._cloud_known: set[str] = set()
+        #: process id → digests of chunks the cloud is known to hold
+        #: for that instance (it sent them to us, or accepted them from
+        #: us) — what submits diff against.  The pool keeps each
+        #: instance's chunks apart, so what one instance holds says
+        #: nothing about another.
+        self._cloud_known: dict[str, set[str]] = {}
         #: Wire accounting for the fleet/benchmark reports.
         self.bytes_received = 0
         self.bytes_sent = 0
@@ -340,26 +343,29 @@ class CloudClient:
         # The new manifest covers every chunk we submitted before this
         # retrieve, so the have-digest subsumes the own-chunk list.
         self._own_chunks.pop(process_id, None)
-        # Everything in the manifest lives in the cloud's chunk store.
-        self._cloud_known.update(delta.manifest.chunk_digests)
+        # Everything in the manifest lives in the instance's chunks.
+        self._cloud_known.setdefault(process_id, set()).update(
+            delta.manifest.chunk_digests)
         return data, delta.manifest
 
     def submit_document(self, document: Dra4wfmsDocument) -> list:
         """Submit an executed document, shipping only new chunks.
 
-        A chunk the cloud held may be gone since (a lifecycle sweep
-        deletes unreferenced chunks): the portal names the missing
-        chunks, and this client forgets them and resubmits the delta
-        once with them before it ships the full document.
+        A chunk this client counts as held may be missing from the
+        instance's stored chunks (it assumed more than the pool holds):
+        the portal names the missing chunks, and this client forgets
+        them and resubmits the delta once with them before it ships the
+        full document.
         """
         portal, session = self._route(document.process_id)
         if not self.system.delta_routing:
             data = document.to_bytes()
             self.bytes_sent += len(data)
             return portal.submit(session, data)
+        known = self._cloud_known.setdefault(document.process_id, set())
         for retry in (False, True):
             with self.system.clock.trace("delta.encode", "delta"):
-                delta = encode_delta(document, known=self._cloud_known)
+                delta = encode_delta(document, known=known)
             try:
                 entries = portal.submit_delta(session, delta)
                 break
@@ -368,9 +374,9 @@ class CloudClient:
                     data = document.to_bytes()
                     self.bytes_sent += len(data)
                     return portal.submit(session, data)
-                self._cloud_known.difference_update(exc.missing)
+                known.difference_update(exc.missing)
         self.bytes_sent += delta.wire_bytes
-        self._cloud_known.update(delta.manifest.chunk_digests)
+        known.update(delta.manifest.chunk_digests)
         self.chunks.add_all(delta.chunks)
         # Remember what we shipped so the next retrieve of this process
         # can ask the portal not to send our own CERs back.

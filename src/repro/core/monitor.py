@@ -3,9 +3,11 @@
 "Monitoring encompasses the tracking of individual processes so that
 information on their state can be easily seen and statistics on the
 performance of one or more processes provided" [20].  In DRA4WfMS the
-TFC server's records and document copies are the monitoring substrate;
-the cloud deployment additionally runs MapReduce analyses over the
-document pool (see :mod:`repro.cloud.mapreduce`).
+TFC server's records are the monitoring substrate, and a document's
+status is read from the document itself (:meth:`WorkflowMonitor.
+status_of`); the cloud deployment additionally keeps every version in
+the document pool and runs MapReduce analyses over it (see
+:mod:`repro.cloud.mapreduce`).
 """
 
 from __future__ import annotations
@@ -34,11 +36,12 @@ class ActivityStats:
 class WorkflowMonitor:
     """Query progress and statistics from TFC records and documents.
 
-    Every query reads the TFC: its records, its latest document copies
-    (:meth:`status`) or its signature cache.  A fleet's load figures —
-    station utilization, queue depths and the metrics snapshot — are
-    computed once, on its :class:`~repro.fleet.report.FleetReport` and
-    by :meth:`~repro.fleet.fleet.Fleet.queue_depths`.
+    Every query reads the TFC, its records or its signature cache,
+    except :meth:`status_of`, which reads a document.  A fleet's load
+    figures — station utilization, queue depths and the metrics
+    snapshot — are computed once, on its
+    :class:`~repro.fleet.report.FleetReport` and by
+    :meth:`~repro.fleet.fleet.Fleet.queue_depths`.
     """
 
     def __init__(self, tfc: TfcServer | None = None,
@@ -67,17 +70,6 @@ class WorkflowMonitor:
     def history(self, process_id: str) -> list[TfcRecord]:
         """Timestamped activity completions of one process instance."""
         return [r for r in self.records if r.process_id == process_id]
-
-    def status(self, process_id: str,
-               definition: WorkflowDefinition | None = None,
-               ) -> ExecutionStatus | None:
-        """Current status from the TFC's latest document copy."""
-        if self._tfc is None:
-            return None
-        document = self._tfc.latest_document(process_id)
-        if document is None:
-            return None
-        return execution_status(document, definition)
 
     def activity_gaps(self, process_id: str) -> dict[tuple[str, int], float]:
         """Seconds between consecutive completions (activity handoffs).

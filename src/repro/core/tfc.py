@@ -15,9 +15,10 @@ authoritative process state; it only
   back from its decryption memo, so a hop costs RSA for the new result
   bundle and fields new to it only;
 * **forwards** the document according to the control flow; and
-* keeps a record of every processed activity and the latest forwarded
-  copy of each instance, so the status of workflow executions can be
-  queried (§2.2, monitoring).
+* keeps a record of every processed activity, so the progress of
+  workflow executions can be queried (§2.2, monitoring).  It keeps no
+  copy of the documents it forwards: in the cloud the pool holds every
+  version.
 
 Crucially the TFC *also signs into the cascade*: its CER countersigns
 the participant's intermediate signature, so even a malicious TFC
@@ -96,7 +97,6 @@ class TfcServer:
     def __init__(self, keypair: KeyPair, directory: KeyDirectory,
                  backend: CryptoBackend | None = None,
                  clock: Callable[[], float] | None = None,
-                 keep_copies: bool = True,
                  trusted_tfcs: set[str] | None = None,
                  verify_cache: VerificationCache | None = None) -> None:
         self.keypair = keypair
@@ -113,7 +113,6 @@ class TfcServer:
             own_clock = SimClock()
             clock = lambda: own_clock.advance(1.0)  # noqa: E731
         self.clock = clock
-        self.keep_copies = keep_copies
         #: Opt-in shared signature cache for incremental verification
         #: (``None``: every signature a pass checks costs RSA).
         self.verify_cache = verify_cache
@@ -142,8 +141,6 @@ class TfcServer:
         self._views_lock = threading.Lock()
         #: Monitoring records, in processing order.
         self.records: list[TfcRecord] = []
-        #: process id → the latest forwarded copy (workflow monitoring).
-        self.document_log: dict[str, bytes] = {}
         #: Optional observability hook (:class:`repro.obs.Tracer`) —
         #: the TFC has no :class:`SimClock` of its own (its *clock* is a
         #: bare timestamp callable), so the span hook attaches here.
@@ -252,8 +249,6 @@ class TfcServer:
             participant=cer_it.participant,
             timestamp=timestamp,
         ))
-        if self.keep_copies:
-            self.document_log[document.process_id] = new_document.to_bytes()
         return TfcResult(
             document=new_document,
             activity_id=activity_id,
@@ -289,10 +284,3 @@ class TfcServer:
             while len(self._views) > KeptPasses.LIMIT:
                 self._views.popitem(last=False)
         return view
-
-    # -- monitoring ------------------------------------------------------------
-
-    def latest_document(self, process_id: str) -> Dra4wfmsDocument | None:
-        """The most recent forwarded copy of a process instance."""
-        blob = self.document_log.get(process_id)
-        return None if blob is None else Dra4wfmsDocument.from_bytes(blob)

@@ -20,11 +20,10 @@ reassembled document is indistinguishable from a full transfer — the
 verifier runs over identical bytes, which is the entire security
 argument (see ``docs/ROUTING.md``).
 
-Chunks are keyed by their SHA-256; two hops (or two fleet instances
-sharing a workflow definition) that produce the same bytes share one
-stored chunk.  A peer that already holds version k of a document needs
-only the chunks it has never seen — one CER per hop — plus the new
-manifest.
+Chunks are keyed by their SHA-256; two versions of an instance that
+contain the same bytes share one stored chunk.  A peer that already
+holds version k of a document needs only the chunks it has never seen —
+one CER per hop — plus the new manifest.
 """
 
 from __future__ import annotations
@@ -111,6 +110,16 @@ class Manifest:
         }
         return json.dumps(payload, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
+
+    @staticmethod
+    def describes(data: bytes, doc_digest: str) -> bool:
+        """Whether encoded manifest *data* may describe the document
+        whose digest is *doc_digest*, read without decoding it.  The
+        encoding has one ``doc_digest`` key and escapes every quote
+        inside a string, so a false match needs a crafted
+        *doc_digest*; decode a match and compare to be sure."""
+        needle = f'"doc_digest":"{doc_digest}"'
+        return needle.encode("utf-8", "replace") in data
 
     @classmethod
     def from_bytes(cls, data: bytes) -> "Manifest":

@@ -30,13 +30,11 @@ do successor hops get scheduled.  AND-joins additionally gate on the
 before its inputs have finished in simulated time.
 
 Determinism: same seed ⇒ identical event order ⇒ byte-identical
-:class:`FleetReport` under full routing, and under delta routing while
-no HBase region splits or when the backend's randomness is seeded.
-Process ids are derived from the seed and the instance index (host
-uuids would make HBase region splits — and hence captured costs — vary
-between runs).  Delta chunk rows are keyed by digests of ciphertext,
-which carries the backend's random nonces and padding; after a split
-those keys decide which region takes each row.
+:class:`FleetReport`, under either routing.  Process ids are derived
+from the seed and the instance index (host uuids would make HBase
+region splits — and hence captured costs — vary between runs), and
+every pool row, delta chunks included, is keyed by one, never by a
+digest of ciphertext, which carries the backend's random nonces.
 """
 
 from __future__ import annotations
@@ -123,7 +121,7 @@ class FleetConfig:
     collect_metrics: bool = False
     #: Storage-lifecycle sweep cadence (delta routing only): every N
     #: completed instances, archive + compact + retire the finished
-    #: instances and GC zero-reference chunks, so hot storage stays
+    #: instances, deleting their chunks, so hot storage stays
     #: O(live instances).  0 (default) disables the sweep entirely —
     #: hot storage grows with total history, exactly as before.
     gc_interval: int = 0
@@ -212,8 +210,8 @@ class Fleet:
                 "instances_retired": 0,
                 "manifests_compacted": 0,
                 "archives_exported": 0,
-                "gc_chunks_deleted": 0,
-                "gc_bytes_reclaimed": 0,
+                "chunks_deleted": 0,
+                "bytes_reclaimed": 0,
                 "peak_hot_bytes": 0,
             }
         #: Tracing tap: the caller's collecting tracer, or a metrics-only
@@ -477,14 +475,12 @@ class Fleet:
             self._audit(instance)
         if self._lifecycle is not None:
             self._retirable.append(instance.process_id)
-            store = self.system.pool.chunks
-            if store is not None:
-                # Sample the hot footprint at every completion, so the
-                # peak covers growth *between* sweeps too.
-                self._lifecycle["peak_hot_bytes"] = max(
-                    self._lifecycle["peak_hot_bytes"],
-                    store.stats["unique_bytes"],
-                )
+            # Sample the hot footprint at every completion, so the peak
+            # covers growth *between* sweeps too.
+            self._lifecycle["peak_hot_bytes"] = max(
+                self._lifecycle["peak_hot_bytes"],
+                self.system.pool.chunks.stats["unique_bytes"],
+            )
             if self._completed % self.config.gc_interval == 0:
                 self._lifecycle_sweep()
         arrivals = self.config.arrivals
@@ -499,7 +495,7 @@ class Fleet:
         return self._trust_snapshot
 
     def _lifecycle_sweep(self) -> None:
-        """Archive + compact + retire finished instances, then GC.
+        """Archive + compact + retire finished instances.
 
         Runs as part of a completion event: the pool work's simulated
         cost is captured and billed to the pool station, so lifecycle
@@ -510,7 +506,8 @@ class Fleet:
 
         pool = self.system.pool
         life = self._lifecycle
-        assert life is not None
+        assert life is not None and pool.chunks is not None
+        before = pool.chunks.stats
         with self._span("lifecycle.sweep", component="pool"):
             with self.clock.capture() as captured:
                 for process_id in self._retirable:
@@ -524,11 +521,13 @@ class Fleet:
                     pool.retire(process_id)
                     life["instances_retired"] += 1
                 self._retirable.clear()
-                deleted, reclaimed = pool.gc()
                 pool.flush_hot_tables()
+            after = pool.chunks.stats
             life["sweeps"] += 1
-            life["gc_chunks_deleted"] += deleted
-            life["gc_bytes_reclaimed"] += reclaimed
+            life["chunks_deleted"] += (before["unique_chunks"]
+                                       - after["unique_chunks"])
+            life["bytes_reclaimed"] += (before["unique_bytes"]
+                                        - after["unique_bytes"])
             self._chain(self._captured_visits(captured), lambda: None)
 
     def _audit(self, instance: _Instance) -> None:
@@ -618,13 +617,11 @@ class Fleet:
         if life:
             reg.counter("lifecycle_sweeps_total").inc(life["sweeps"])
             for name in ("instances_retired", "manifests_compacted",
-                         "gc_chunks_deleted", "gc_bytes_reclaimed"):
+                         "chunks_deleted", "bytes_reclaimed"):
                 reg.counter(f"{name}_total").inc(life[name])
-            if "hot_unique_bytes" in life:
-                reg.gauge("chunk_store_hot_bytes").set(
-                    life["hot_unique_bytes"])
-                reg.gauge("chunk_store_peak_hot_bytes").set(
-                    life["peak_hot_bytes"])
+            reg.gauge("chunk_store_hot_bytes").set(life["hot_unique_bytes"])
+            reg.gauge("chunk_store_peak_hot_bytes").set(
+                life["peak_hot_bytes"])
         for name, m in report.stations.items():
             reg.gauge("queue_depth_max", station=name).set(
                 m.max_queue_depth)
@@ -662,12 +659,9 @@ class Fleet:
         lifecycle_dict: dict[str, object] = {}
         if self._lifecycle is not None:
             lifecycle_dict = dict(self._lifecycle)
-            if store is not None:
-                lifecycle_dict["hot_unique_bytes"] = \
-                    store.stats["unique_bytes"]
-                lifecycle_dict["hot_unique_chunks"] = \
-                    store.stats["unique_chunks"]
-                lifecycle_dict["store"] = dict(store.lifecycle)
+            lifecycle_dict["hot_unique_bytes"] = chunk_stats["unique_bytes"]
+            lifecycle_dict["hot_unique_chunks"] = \
+                chunk_stats["unique_chunks"]
             lifecycle_dict["chunk_cache"] = {
                 "hits": sum(c.chunks.hits for c in clients),
                 "misses": sum(c.chunks.misses for c in clients),

@@ -78,7 +78,7 @@ class FleetReport:
     #: so untraced report bytes are unchanged (the golden guarantee).
     metrics: dict[str, object] = field(default_factory=dict)
     #: Storage-lifecycle counters (sweeps, retired instances, compacted
-    #: manifests, GC totals, hot/peak bytes, chunk-cache traffic).
+    #: manifests, chunks deleted, hot/peak bytes, chunk-cache traffic).
     #: Populated only when the run swept (``gc_interval > 0``); empty —
     #: and omitted from the serialised form — otherwise, so reports of
     #: runs with the lifecycle off are byte-identical to older builds.
@@ -243,8 +243,8 @@ class FleetReport:
                 f" completions; {self.lifecycle.get('instances_retired', 0)}"
                 f" retired, {self.lifecycle.get('manifests_compacted', 0)}"
                 f" manifests compacted, "
-                f"{self.lifecycle.get('gc_chunks_deleted', 0)} chunks "
-                f"GC'd ({self.lifecycle.get('gc_bytes_reclaimed', 0):,} B)"
+                f"{self.lifecycle.get('chunks_deleted', 0)} chunks "
+                f"deleted ({self.lifecycle.get('bytes_reclaimed', 0):,} B)"
                 f"; hot {self.lifecycle.get('hot_unique_bytes', 0):,} B "
                 f"(peak {self.lifecycle.get('peak_hot_bytes', 0):,} B)"
             )

@@ -1,7 +1,7 @@
 """Delta transfers through the cloud stack: pool, portal, client.
 
-The cloud side of delta routing stores manifests plus content-addressed
-chunks and serves one-round-trip delta retrieves.  Everything here
+The cloud side of delta routing stores manifests plus each instance's
+content-addressed chunks and serves one-round-trip delta retrieves.  Everything here
 checks the two invariants the design hangs on: reassembled bytes are
 exactly the bytes full-mode storage would serve, and every failure mode
 (missing chunk, over-assumed cache, rollback) either falls back to a
@@ -10,13 +10,15 @@ full transfer or raises — never silently corrupts.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.cloud import CloudSystem, run_process_in_cloud
 from repro.cloud.hbase import CerChunkStore, SimHBase
 from repro.cloud.pool import DOC_TABLE, DocumentPool
 from repro.document import build_initial_document, verify_document
-from repro.document.delta import Manifest, chunk_document
+from repro.document.delta import DeltaDocument, Manifest, chunk_document
 from repro.document.document import grows_by_append
 from repro.errors import (
     DeltaError,
@@ -96,12 +98,30 @@ class TestDeltaPool:
             pool.store(early)
 
     def test_manifest_lookup_by_digest(self, pool, fig9a_trace):
+        """A held version is found by its document digest among the
+        instance's own stored versions, and only there."""
+        early = fig9a_trace.steps[0].document
         final = fig9a_trace.final_document
-        pool.register_process(final.process_id)
+        pid = final.process_id
+        pool.register_process(pid)
+        pool.store(early)
         pool.store(final)
-        manifest = pool.latest_manifest(final.process_id)
-        assert pool.manifest_by_digest(manifest.doc_digest) == manifest
-        assert pool.manifest_by_digest("0" * 64) is None
+        manifest = pool.latest_manifest(pid)
+        held, _ = chunk_document(early)
+        assert pool.delta_manifests(pid) == (manifest, None)
+        assert pool.delta_manifests(pid, manifest.doc_digest) \
+            == (manifest, manifest)
+        assert pool.delta_manifests(pid, held.doc_digest) == (manifest, held)
+        assert pool.delta_manifests(pid, "0" * 64) == (manifest, None)
+        # A digest crafted to match more than the key is not a match.
+        crafted = held.doc_digest + '","format":"dra4wfms-manifest/1'
+        assert pool.delta_manifests(pid, crafted) == (manifest, None)
+        other = final.clone()
+        other.header.set("ProcessId", "another-instance")
+        pool.register_process("another-instance")
+        pool.store(other)
+        assert pool.delta_manifests("another-instance",
+                                    held.doc_digest)[1] is None
 
     def test_manifest_cells_decode_once(self, pool, fig9a_trace,
                                         monkeypatch):
@@ -117,7 +137,8 @@ class TestDeltaPool:
         pool.register_process(final.process_id)
         pool.store(final)
         manifest = pool.latest_manifest(final.process_id)
-        assert pool.manifest_by_digest(manifest.doc_digest) == manifest
+        assert pool.delta_manifests(final.process_id,
+                                    manifest.doc_digest)[1] == manifest
         assert pool.latest_bytes(final.process_id) == final.to_bytes()
         # The pool stored these cells itself: no read decodes them.
         assert decodes == []
@@ -125,7 +146,8 @@ class TestDeltaPool:
         other = DocumentPool(pool.hbase, delta=True)
         for _ in range(3):
             assert other.latest_manifest(final.process_id) == manifest
-        assert other.manifest_by_digest(manifest.doc_digest) == manifest
+        assert other.delta_manifests(final.process_id,
+                                     manifest.doc_digest)[1] == manifest
         assert len(decodes) == 1
         # A cell whose bytes differ is decoded afresh.
         pool.hbase.put(DOC_TABLE, final.process_id, "doc", "manifest",
@@ -138,7 +160,8 @@ class TestDeltaPool:
         pool.register_process(final.process_id)
         pool.store(final)
         victim = pool.latest_manifest(final.process_id).chunks[0]
-        pool.hbase.delete_row(CerChunkStore.TABLE, victim.digest)
+        pool.hbase.delete_cells(CerChunkStore.TABLE, final.process_id,
+                                [("c", victim.digest)])
         with pytest.raises(DeltaError, match="missing"):
             pool.latest_bytes(final.process_id)
 
@@ -214,7 +237,7 @@ class TestDeltaProtocol:
         # Poison the cache model: claim the cloud holds everything,
         # including the brand-new CER chunks it has never seen.
         manifest, _ = chunk_document(result.document)
-        client._cloud_known.update(manifest.chunk_digests)
+        client._cloud_known[pid].update(manifest.chunk_digests)
 
         entries = client.submit_document(result.document)
         assert {e.activity_id for e in entries} == {"B1", "B2"}
@@ -226,6 +249,35 @@ class TestDeltaProtocol:
         # finalisation of it.
         assert grows_by_append(result.document.to_bytes(),
                                delta_system.pool.latest_bytes(pid))
+
+    def test_submission_reads_only_its_manifests_instance(
+            self, delta_system, world, backend, fig9b, initial):
+        """The portal fetches a delta's unshipped chunks from the row of
+        the instance its manifest names, and rejects a document whose
+        header names another instance."""
+        designer = delta_system.client(world.keypair(DESIGNER))
+        pid = designer.upload_initial(initial)
+        other = designer.upload_initial(build_initial_document(
+            fig9b, world.keypair(DESIGNER), backend=backend))
+        client = delta_system.client(world.keypair(PARTICIPANTS["A"]))
+        data = client.retrieve_bytes(pid)
+        result = self._execute(delta_system, world, backend, client, data,
+                               "A", {"attachment": "x"})
+        manifest, chunks = chunk_document(result.document)
+        forged = dataclasses.replace(manifest, process_id=other)
+        stored = {p: delta_system.pool.latest_bytes(p) for p in (pid, other)}
+        with pytest.raises(DeltaFallbackRequired) as refused:
+            client.portal.submit_delta(
+                client.session, DeltaDocument(manifest=forged, chunks={}))
+        # The other instance's row holds no chunk of this one.
+        assert set(refused.value.missing) == set(manifest.chunk_digests)
+        with pytest.raises(PortalError, match="names process"):
+            client.portal.submit_delta(
+                client.session, DeltaDocument(manifest=forged,
+                                              chunks=chunks))
+        assert {p: delta_system.pool.latest_bytes(p)
+                for p in (pid, other)} == stored
+        assert delta_system.tfc.records == []
 
     @pytest.mark.parametrize("missing, deltas", [(("0" * 64,), 2),
                                                  ((), 1)])

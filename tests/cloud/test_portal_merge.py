@@ -31,8 +31,8 @@ TFC = "tfc@cloud.example"
 AFTER_BOTH = {
     ("full", "B1"): (18, 0.48604679760000014),
     ("full", "B2"): (18, 0.4860461608000002),
-    ("delta", "B1"): (64, 0.5008068151999999),
-    ("delta", "B2"): (64, 0.5008067424),
+    ("delta", "B1"): (27, 0.49699516479999994),
+    ("delta", "B2"): (27, 0.49699518239999985),
 }
 
 

@@ -32,14 +32,18 @@ class TestMonitor:
         ]
 
     def test_status(self, monitor, fig9b_run, fig9b):
+        """A monitored instance's status comes from its document, and
+        agrees with the TFC's records of it."""
         trace, _ = fig9b_run
-        status = monitor.status(trace.process_id, fig9b)
-        assert status is not None
+        status = monitor.status_of(trace.final_document, fig9b)
         assert status.finished
         assert status.executions == 10
+        assert len(monitor.history(trace.process_id)) == status.executions
 
     def test_status_unknown_process(self, monitor):
-        assert monitor.status("no-such-process") is None
+        assert monitor.history("no-such-process") == []
+        assert monitor.process_duration("no-such-process") is None
+        assert monitor.slowest_handoff("no-such-process") is None
 
     def test_activity_gaps(self, monitor, fig9b_run):
         trace, _ = fig9b_run
@@ -105,7 +109,6 @@ class TestRecordListMonitor:
         stats = monitor.statistics()
         assert stats["A"].executions == 2
         assert stats["A"].mean_gap_seconds is None
-        assert monitor.status("p1") is None  # no TFC, no documents
 
 
 class TestDurations:

@@ -79,12 +79,6 @@ class TestProcessing:
         assert record.participant == PARTICIPANTS["A"]
         assert record.timestamp == 1.0
 
-    def test_document_log_kept(self, tfc, after_a_intermediate):
-        outcome = tfc.process(after_a_intermediate)
-        logged = tfc.latest_document(outcome.document.process_id)
-        assert logged is not None
-        assert logged.to_bytes() == outcome.document.to_bytes()
-
     def test_no_pending_intermediate_rejected(self, tfc, world, fig9b,
                                               backend):
         initial = build_initial_document(fig9b, world.keypair(DESIGNER),
@@ -101,16 +95,6 @@ class TestProcessing:
         outcome = tfc.process(after_a_intermediate)
         assert outcome.verify_seconds > 0
         assert outcome.sign_seconds > 0
-
-    def test_keep_copies_disabled(self, world, backend,
-                                  after_a_intermediate):
-        quiet = TfcServer(world.keypair("tfc@cloud.example"),
-                          world.directory, backend=backend,
-                          keep_copies=False)
-        outcome = quiet.process(after_a_intermediate)
-        assert quiet.document_log == {}
-        assert quiet.latest_document(outcome.document.process_id) is None
-        assert len(quiet.records) == 1
 
 
 class TestMonotoneTimestamps:

@@ -179,7 +179,6 @@ class TestExportFromPool:
         data = export_archive(pool, final.process_id, world).to_bytes()
         pool.archive(final.process_id)
         pool.retire(final.process_id)
-        pool.gc()
         assert pool.chunks.stats["unique_chunks"] == 0
         report = verify_archive(data, backend=backend)
         assert report.process_id == final.process_id

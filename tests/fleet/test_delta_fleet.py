@@ -5,12 +5,11 @@ keep the audit green (reassembled documents still verify cold), and
 must actually reduce bytes on the wire for revisit-heavy workloads —
 the acceptance bar of the routing design.
 
-Same seed ⇒ byte-identical report holds under delta routing while no
-HBase region splits, or when the backend's randomness is seeded.  Chunk
-rows are keyed by digests of ciphertext, and ciphertext carries the
-backend's random nonces and padding; once a region splits, those keys
-decide which region takes each row, and so the flush charges, the TFC
-timestamps and the document bytes.
+Same seed ⇒ byte-identical report holds under delta routing on any
+backend, with or without region splits: every pool row, each
+instance's chunk row included, is keyed by a seed-derived process id,
+never by a digest of ciphertext, which carries the backend's random
+nonces and padding.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from repro.fleet import (
     ClosedLoop,
     Fleet,
     FleetConfig,
-    OpenLoop,
     build_fleet,
     workload_from_spec,
 )
@@ -79,7 +77,7 @@ class TestSeededSplitDeterminism:
                 world.directory, world.keypair(TFC_IDENTITY),
                 backend=PureBackend(seed=b"split-determinism"),
                 verify_cache=VerificationCache(), delta_routing=True,
-                split_threshold_rows=8,
+                split_threshold_rows=2,
             )
             fleet = Fleet(system, workload, world.keypairs, FleetConfig(
                 arrivals=ClosedLoop(instances=3, concurrency=2), seed=3))
@@ -94,6 +92,32 @@ class TestSeededSplitDeterminism:
     def test_same_seed_byte_identical(self, twin_runs):
         (a, _), (b, _) = twin_runs
         assert a.instances_completed == 3
+        assert a.to_json() == b.to_json()
+
+
+class TestSplitDeterminism:
+    """Regions split on the default backend, and the reports repeat."""
+
+    @pytest.fixture(scope="class")
+    def twin_runs(self):
+        def run():
+            fleet = build_fleet(
+                workload_from_spec("chain:6:3"),
+                FleetConfig(arrivals=ClosedLoop(instances=8, concurrency=3),
+                            seed=4),
+                delta_routing=True, split_threshold_rows=4)
+            assert isinstance(fleet.system.backend, FastBackend)
+            return fleet.run(), fleet.system.hbase.stats["splits"]
+
+        return run(), run()
+
+    def test_regions_split(self, twin_runs):
+        (_, splits), _ = twin_runs
+        assert splits > 0
+
+    def test_same_seed_byte_identical(self, twin_runs):
+        (a, _), (b, _) = twin_runs
+        assert a.instances_completed == 8
         assert a.to_json() == b.to_json()
 
 
@@ -125,22 +149,3 @@ class TestDeltaVsFull:
         full, _ = pair
         assert full.chunk_store == {}
         assert full.bytes_to_cloud > 0
-
-
-def test_chunks_deleted_by_gc_are_resent_not_the_document():
-    """A lifecycle sweep deletes chunks clients still count as held.
-    The portal names the missing chunks, and the client resubmits the
-    delta with them: no submission falls back to the full document."""
-    fleet = build_fleet(
-        workload_from_spec("chain:6:3"),
-        FleetConfig(arrivals=OpenLoop(instances=30, rate_per_second=2.0),
-                    seed=7, gc_interval=5),
-        delta_routing=True, placement="ring", chunk_replicas=2)
-    report = fleet.run()
-    portals = fleet.system.portals
-    assert report.audit_failures == 0
-    # The sweep did delete a chunk a client counted on ...
-    assert sum(p.stats["delta_fallbacks"] for p in portals) >= 1
-    # ... and every one of the 180 submissions stayed a delta.
-    assert sum(p.stats["submissions"] for p in portals) == 180
-    assert sum(p.stats["delta_submissions"] for p in portals) == 180

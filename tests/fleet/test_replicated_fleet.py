@@ -1,16 +1,14 @@
-"""A replicated delta fleet pinned byte for byte on a seeded backend.
+"""A replicated delta fleet pinned byte for byte.
 
-A delta fleet stores each CER chunk under the SHA-256 of its
-ciphertext, and the ciphertext carries the backend's random nonces, so
-chunk placement over the shards, region flushes and splits follow the
-backend's randomness.  Such a fleet repeats byte for byte only on a
-seeded backend: this one runs on ``PureBackend(seed=...)`` over a
-committed world, with ring placement, factor-2 chunk replication, low
-split thresholds and the lifecycle sweep, so the sharded chunk store's
-writes, reads, GC fan-out and region splits all reach the goldens.
-A sweep also deletes a chunk a client still counts as held, so the
-resubmission of a refused delta reaches them too.  The tests compare
-the goldens and never regenerate them.
+A delta fleet keeps each instance's chunks in one row keyed by its
+seed-derived process id, so chunk placement over the shards, region
+flushes and splits repeat on any backend.  The golden run uses
+``PureBackend(seed=...)`` over a committed world, with ring placement,
+factor-2 chunk replication, a low split threshold and the lifecycle
+sweep, so the sharded chunk store's writes, reads, deletions and region
+splits all reach the goldens; the tests compare the goldens and never
+regenerate them.  A second pair of runs on the default backend must
+repeat byte for byte, and the storage census holds after every sweep.
 """
 
 from __future__ import annotations
@@ -22,9 +20,11 @@ import pytest
 
 from repro.cloud.system import CloudSystem
 from repro.crypto.backend import PureBackend
-from repro.fleet import ClosedLoop, FleetConfig, workload_from_spec
+from repro.fleet import ClosedLoop, FleetConfig, build_fleet, workload_from_spec
 from repro.fleet.fleet import TFC_IDENTITY, Fleet
 from repro.workloads.participants import World
+
+from ..cloud.census import take_census
 
 GOLDENS = pathlib.Path(__file__).parent / "goldens"
 
@@ -38,7 +38,7 @@ def fleet_run():
     system = CloudSystem(world.directory, world.keypair(TFC_IDENTITY),
                          backend=backend, delta_routing=True,
                          placement="ring", chunk_replicas=2,
-                         split_threshold_rows=16)
+                         split_threshold_rows=4)
     fleet = Fleet(system, workload_from_spec("chain:6:3"), world.keypairs,
                   FleetConfig(arrivals=ClosedLoop(instances=6,
                                                   concurrency=3),
@@ -58,3 +58,41 @@ def test_hbase_stats(fleet_run):
     _, system = fleet_run
     assert json.dumps(system.hbase.stats, sort_keys=True) == (
         GOLDENS / "sim_chain6x3_seed3_replicated_hbase.json").read_text()
+
+
+def test_hot_storage_drained(fleet_run):
+    report, system = fleet_run
+    assert report.lifecycle["instances_retired"] == 6
+    assert system.hbase.stats["splits"] > 0
+    assert take_census(system.hbase, replicas=2).bytes == 0
+
+
+def run_default_backend() -> tuple[str, list[int]]:
+    """A ring, R=2 lifecycle fleet on the default backend: its report,
+    and the chunk bytes the census counted after each sweep."""
+    fleet = build_fleet(
+        workload_from_spec("chain:6:3"),
+        FleetConfig(arrivals=ClosedLoop(instances=9, concurrency=3),
+                    seed=5, gc_interval=4),
+        delta_routing=True, placement="ring", chunk_replicas=2,
+        split_threshold_rows=4)
+    censuses = []
+    sweep = fleet._lifecycle_sweep
+
+    def sweep_then_count():
+        sweep()
+        censuses.append(take_census(fleet.system.hbase, replicas=2).bytes)
+
+    fleet._lifecycle_sweep = sweep_then_count
+    report = fleet.run()
+    assert report.audit_failures == 0
+    return report.to_json(), censuses
+
+
+def test_default_backend_repeats_byte_for_byte():
+    first, censuses = run_default_backend()
+    second, _ = run_default_backend()
+    assert first == second
+    # Two sweeps ran while later instances were live; none ran at the
+    # end, so the last instance is still hot.
+    assert len(censuses) == 2 and all(censuses)
